@@ -145,8 +145,9 @@ def _simulate_one(args: tuple) -> list[float]:
 
 def _simulate_paths(cfg: dict, seed: int, times: np.ndarray, reps: int, jobs: int) -> np.ndarray:
     tasks = [(cfg, seed, tuple(times), rep) for rep in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = suite.worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_simulate_one, tasks))
     else:
         rows = [_simulate_one(task) for task in tasks]

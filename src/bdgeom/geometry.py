@@ -21,6 +21,17 @@ from numpy.typing import NDArray
 GEOM_TOL = 1e-9
 
 
+def padded_radius(rho: float) -> float:
+    """Search radius for candidates of a closed ``rho``-ball query.
+
+    A point whose rounded distance is exactly ``rho`` can sit a last ulp
+    outside ``rho`` by another route (a cell border, a KD-tree's own
+    arithmetic, the triangle inequality through an anchor); searches use
+    this radius and the exact test ``distance <= rho`` then decides.
+    """
+    return rho * (1.0 + GEOM_TOL) + 1e-12
+
+
 class DegenerateGeometryError(ValueError):
     """Point set is affinely dependent where independence is required."""
 
@@ -155,21 +166,21 @@ class GridIndex:
             del self._cells[cell]
 
     def _candidate_cells(self, x: NDArray, rho: float) -> Iterable[tuple[int, ...]]:
-        center = self._cell_of(x)
-        reach = int(np.ceil(rho / self._edge - GEOM_TOL))
-        reach = max(reach, 1)
-        d = self.metric.dim
+        pad = padded_radius(rho)
+        pos = np.asarray(x, dtype=float)
+        lo = np.floor((pos - pad) / self._edge).astype(int)
+        hi = np.floor((pos + pad) / self._edge).astype(int)
+        spans = [range(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist())]
         if self.metric.kind == "torus":
             m = self._cells_per_axis
-            if 2 * reach + 1 >= m:
+            if max(len(span) for span in spans) >= m:
                 # query ball wraps the whole axis; visit each cell once
                 yield from list(self._cells.keys())
                 return
-            for offset in itertools.product(range(-reach, reach + 1), repeat=d):
-                yield tuple((center[i] + offset[i]) % m for i in range(d))
+            for cell in itertools.product(*spans):
+                yield tuple(c % m for c in cell)
         else:
-            for offset in itertools.product(range(-reach, reach + 1), repeat=d):
-                yield tuple(center[i] + offset[i] for i in range(d))
+            yield from itertools.product(*spans)
 
     def query(self, x: NDArray, rho: float) -> list[Hashable]:
         """Ids of indexed points within closed distance ``rho`` of ``x``."""

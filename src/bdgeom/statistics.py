@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .functionals import ConfigError, LocalFunctional, NeighborhoodMap
-from .geometry import GridIndex, Metric
+from .geometry import GridIndex, Metric, padded_radius
 from .process import Configuration, Event, EventStream, SimulationConfig, sample_stationary, simulate_events
 
 
@@ -157,7 +157,7 @@ class SubsetTracker:
             self._sum.add(val)
 
     def _occupied(self, region, exclude: frozenset, extra_exclude: int = -1) -> bool:
-        ids = self.config.neighbors_within(region.anchor, region.query_radius)
+        ids = self.config.neighbors_within(region.anchor, padded_radius(region.query_radius))
         others = [p for p in ids if p not in exclude and p != extra_exclude]
         if not others:
             return False
@@ -177,7 +177,7 @@ class SubsetTracker:
         x = self.config.metric.wrap(np.asarray(raw_position, dtype=float))
         # existing regions that the newcomer occupies
         if self.nbhd is not None:
-            for key in self._anchor_grid.query(x, self.max_reach):
+            for key in self._anchor_grid.query(x, padded_radius(self.max_reach)):
                 entry = self._registry[key]
                 if entry.vacant and entry.region.contains(x):
                     entry.vacant = False
@@ -207,17 +207,16 @@ class SubsetTracker:
             if k == 1:
                 self._sum.add(-self.f.evaluate(y[None, :], self.r, self.config.metric))
                 return
-            cands = sorted(
-                p for p in self.config.neighbors_within(y, self.enum_radius) if p != pid
-            )
-            if len(cands) < k - 1:
+            ids = sorted(self.config.neighbors_within(y, self.enum_radius))
+            if len(ids) < k:
                 return
-            pts = self.config.positions_array(cands)
-            allpts = np.vstack([pts, y[None, :]])
+            # members in id order, as when the subsets were admitted
+            at = ids.index(pid)
+            allpts = self.config.positions_array(ids)
             dmat = self.config.metric.pairwise(allpts)
-            last = len(cands)
-            for combo in combinations(range(len(cands)), k - 1):
-                idx = combo + (last,)
+            others = [i for i in range(len(ids)) if i != at]
+            for combo in combinations(others, k - 1):
+                idx = tuple(sorted(combo + (at,)))
                 val = self._eval(allpts, dmat, idx)
                 if val != 0.0:
                     self._sum.add(-val)
@@ -235,7 +234,7 @@ class SubsetTracker:
                     if not keys:
                         del self._member_keys[member]
         # ... then re-derive vacancy where the point may have been the occupant
-        for key in self._anchor_grid.query(y, self.max_reach):
+        for key in self._anchor_grid.query(y, padded_radius(self.max_reach)):
             entry = self._registry[key]
             if not entry.vacant and entry.region.contains(y):
                 if not self._occupied(entry.region, key, extra_exclude=pid):
@@ -252,43 +251,64 @@ def evaluate_statistic(
     """From-scratch value of the statistic on a configuration.
 
     This is the reference evaluator; it shares no enumeration code with the
-    incremental tracker (KD-tree subset scan here, grid-based scan there),
-    and the two must agree exactly for indicator functionals after any
-    event sequence.
+    incremental tracker (array scan over one KD-tree radius graph here,
+    grid-based scan there), and the two must agree exactly for indicator
+    functionals after any event sequence.
+
+    The candidate subsets are the ``k``-cliques of the closed
+    ``r * r_max`` graph.  With ``balls`` regions a subset ``S`` is vacant
+    iff ``sum_{v in S} deg_r(v) == 2 * e_r(S)``, where ``deg_r`` is the
+    degree in the closed radius-``r`` graph and ``e_r(S)`` counts its edges
+    inside ``S``: no member has an ``r``-neighbour outside ``S`` (for a
+    clique, ``S`` is a whole component).  Every edge is decided by the
+    ``Metric.distance_many`` formula, so a pair at distance exactly ``r``
+    is adjacent, as in ``BallUnionRegion.contains_many`` and the tracker's
+    ``GridIndex``.  ``circumball`` regions are open balls with no degree
+    form and are tested one subset at a time.
     """
     metric = config.metric
     positions = config.positions_array()
-    if neighborhood is None and functional.name == "clique:2":
-        return count_pairs_within(positions, r, metric)
     k = functional.k
+    enum_radius = r * functional.r_max
     if metric.kind == "torus":
         reach = neighborhood.max_reach(functional, r) if neighborhood else 0.0
-        if max(r * functional.r_max, reach) >= 0.5:
+        if max(enum_radius, reach) >= 0.5:
             raise ConfigError("interaction scale too large for the unit torus")
-    if len(positions) < k:
+    n = len(positions)
+    if n < k:
         return 0.0
-    if k == 1:
-        subsets = [(i,) for i in range(len(positions))]
-    else:
-        subsets = _diameter_subsets(positions, r * functional.r_max, k, metric)
-        if not subsets:
-            return 0.0
-    stacked = positions[np.array(subsets)]
-    vals = functional.batch(stacked, r, metric)
+    balls = neighborhood is not None and neighborhood.kind == "balls"
+    radius = max(enum_radius, r) if balls else enum_radius
+    tree = _metric_tree(positions, metric)
+    pairs, dist = _close_pairs(tree, positions, radius, metric)
+    subsets = _diameter_subsets(pairs[dist <= enum_radius], n, k)
+    if len(subsets) == 0:
+        return 0.0
+    vals = functional.batch(positions[subsets], r, metric)
     live = np.nonzero(vals != 0.0)[0]
     if neighborhood is None:
         return float(math.fsum(vals[live]))
-    tree = _metric_tree(positions, metric)
+    if balls:
+        edges = pairs[dist <= r]
+        keys = _pair_keys(edges, n)
+        degree = np.bincount(edges.ravel(), minlength=n)
+        members = subsets[live]
+        inner = sum(
+            _has_edge(keys, members[:, i], members[:, j], n)
+            for i, j in combinations(range(k), 2)
+        )
+        vacant = degree[members].sum(axis=1) == 2 * inner
+        return float(math.fsum(vals[live][vacant]))
     total = []
     for i in live:
         members = subsets[i]
-        region = neighborhood.build(positions[list(members)], r, metric)
+        region = neighborhood.build(positions[members], r, metric)
         if region is None:
             continue
         anchor = metric.wrap(region.anchor) if metric.kind == "torus" else region.anchor
-        near = tree.query_ball_point(anchor, region.query_radius * (1.0 + 1e-9) + 1e-12)
-        others = [p for p in near if p not in members]
-        if others and bool(np.any(region.contains_many(positions[others]))):
+        near = tree.query_ball_point(anchor, padded_radius(region.query_radius))
+        others = np.setdiff1d(near, members)
+        if len(others) and bool(np.any(region.contains_many(positions[others]))):
             continue
         total.append(float(vals[i]))
     return float(math.fsum(total))
@@ -296,53 +316,86 @@ def evaluate_statistic(
 
 def _metric_tree(positions: NDArray, metric: Metric) -> cKDTree:
     if metric.kind == "torus":
-        return cKDTree(np.mod(positions, 1.0), boxsize=1.0)
+        wrapped = np.mod(positions, 1.0)
+        # np.mod rounds tiny negatives up to 1.0, outside the periodic box
+        wrapped[wrapped >= 1.0] = 0.0
+        return cKDTree(wrapped, boxsize=1.0)
     return cKDTree(positions)
 
 
-def _diameter_subsets(
-    positions: NDArray, enum_radius: float, k: int, metric: Metric
-) -> list[tuple]:
-    """Index k-subsets with all pairwise distances <= enum_radius.
+def _close_pairs(
+    tree: cKDTree, positions: NDArray, rho: float, metric: Metric
+) -> tuple[NDArray, NDArray]:
+    """Index pairs ``i < j`` within closed distance ``rho``, with distances.
 
-    By the locality contract these are the only subsets the functional can
-    score, so enumerating cliques of the enum_radius graph is exhaustive.
+    The KD-tree proposes candidates at a slightly inflated radius and the
+    ``Metric.distance_many`` formula decides, so ties at ``dist == rho``
+    fall as in ``BallUnionRegion.contains_many`` and ``GridIndex.query``.
+    Pairs come sorted by ``(i, j)``.
     """
-    tree = _metric_tree(positions, metric)
-    pairs = tree.query_pairs(enum_radius, output_type="ndarray")
+    pairs = tree.query_pairs(padded_radius(rho), output_type="ndarray")
+    delta = positions[pairs[:, 1]] - positions[pairs[:, 0]]
+    if metric.kind == "torus":
+        delta = delta - np.round(delta)
+    dist = np.sqrt(np.sum(delta * delta, axis=1))
+    keep = np.nonzero(dist <= rho)[0]
+    keep = keep[np.lexsort((pairs[keep, 1], pairs[keep, 0]))]
+    return pairs[keep], dist[keep]
+
+
+def _pair_keys(pairs: NDArray, n: int) -> NDArray:
+    """Sorted scalar keys ``i * n + j`` of pairs already sorted by ``(i, j)``."""
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
+def _has_edge(keys: NDArray, a: NDArray, b: NDArray, n: int) -> NDArray:
+    """Whether each ``(a, b)`` with ``a < b`` is an edge with key in ``keys``."""
+    want = a * n + b
+    at = np.searchsorted(keys, want)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == want[hit]
+    return hit
+
+
+def _diameter_subsets(pairs: NDArray, n: int, k: int) -> NDArray:
+    """Index k-subsets (rows ascending) that are cliques of a pair graph.
+
+    ``pairs`` is the sorted edge list of the ``r * r_max`` graph; by the
+    locality contract its cliques are the only subsets the functional can
+    score.  Chains grow one vertex at a time along the upper neighbours of
+    their last vertex (a CSR of the edge list), and each new vertex is
+    kept when it is adjacent to every earlier member.
+    """
+    if k == 1:
+        return np.arange(n)[:, None]
     if k == 2:
-        return [tuple(p) for p in pairs]
-    adjacency: dict[int, set] = {}
-    for a, b in pairs:
-        adjacency.setdefault(int(a), set()).add(int(b))
-        adjacency.setdefault(int(b), set()).add(int(a))
-    out: list[tuple] = []
-
-    def extend(chain: tuple, common: set) -> None:
-        if len(chain) == k:
-            out.append(chain)
-            return
-        for v in sorted(c for c in common if c > chain[-1]):
-            extend(chain + (v,), common & adjacency[v])
-
-    for a, b in pairs:
-        a, b = int(a), int(b)
-        extend((a, b), adjacency[a] & adjacency[b])
-    return out
+        return pairs
+    keys = _pair_keys(pairs, n)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=start[1:])
+    chains = pairs
+    for _ in range(k - 2):
+        last = chains[:, -1]
+        counts = start[last + 1] - start[last]
+        rows = np.repeat(np.arange(len(chains)), counts)
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        nxt = pairs[start[last][rows] + slot, 1]
+        grown = chains[rows]
+        keep = np.ones(len(rows), dtype=bool)
+        for col in range(grown.shape[1] - 1):
+            keep &= _has_edge(keys, grown[:, col], nxt, n)
+        chains = np.column_stack([grown[keep], nxt[keep]])
+    return chains
 
 
 def count_pairs_within(positions: NDArray, r: float, metric: Metric) -> float:
-    """Edge count via a KD-tree (fast path for the pair statistic)."""
+    """Edge count of the closed radius-``r`` graph (ties as in ``_close_pairs``)."""
     pts = np.asarray(positions, dtype=float)
     if len(pts) < 2:
         return 0.0
-    if metric.kind == "torus":
-        if r >= 0.5:
-            raise ConfigError("pair radius must be < 0.5 on the torus")
-        tree = cKDTree(np.mod(pts, 1.0), boxsize=1.0)
-    else:
-        tree = cKDTree(pts)
-    return float(tree.query_pairs(r, output_type="ndarray").shape[0])
+    if metric.kind == "torus" and r >= 0.5:
+        raise ConfigError("pair radius must be < 0.5 on the torus")
+    return float(len(_close_pairs(_metric_tree(pts, metric), pts, r, metric)[0]))
 
 
 def replay(

@@ -8,6 +8,7 @@ independent and can run in any order (or in parallel via ``run_all``).
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -576,6 +577,11 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {
 }
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes worth starting: never more than the tasks or the CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _run_named(args: tuple[str, int]) -> CheckResult:
     name, seed = args
     return CHECKS[name](seed=seed)
@@ -592,8 +598,9 @@ def run_all(
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {unknown}")
-    if jobs > 1 and len(selected) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(selected))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_named, [(name, seed) for name in selected]))
         if progress is not None:
             for result in results:

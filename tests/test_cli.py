@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from bdgeom.cli import main
+from bdgeom.suite import worker_count
 
 
 def write_config(tmp_path, **fields):
@@ -270,6 +271,16 @@ def test_bad_set_syntax(tmp_path):
 def test_bad_jobs(tmp_path):
     cfg = write_config(tmp_path, **SIM_FIELDS)
     assert main(["simulate", "--config", cfg, "--jobs", "0"]) == 2
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert worker_count(10_000, 10_000) == 2
+    assert worker_count(10_000, 1) == 1
+    assert worker_count(1, 10_000) == 1
+    assert worker_count(4, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(10_000, 10_000) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 """Local functionals, neighborhood regions, and the invariance validator."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,17 @@ def test_selector_round_trips():
     assert g.k == 3 and g.name.startswith("subgraph:3:")
     h = from_selector("morse:2")
     assert h.k == 3 and h.r_max == 2.0
+
+
+def test_readme_selectors_parse():
+    """Every selector the README lists under "Functional selectors" parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Functional selectors:", 1)[1].split("Exclusion regions:", 1)[0]
+    templates = [s for s in re.findall(r"`([^`]+)`", listed) if re.match(r"[a-z]+:", s)]
+    assert {t.split(":")[0] for t in templates} == {"clique", "subgraph", "morse"}
+    for template in templates:
+        selector = template.replace("I-J,...", "0-1,1-2").replace("INDEX", "2")
+        from_selector(selector.replace("K", "3"))
 
 
 @pytest.mark.parametrize(
