@@ -37,9 +37,10 @@ class LocalFunctional:
     """Bounded, local, scale-invariant function of ``k``-point subsets.
 
     ``evaluate`` receives the subset as a ``(k, d)`` array plus the scale
-    ``r`` and the metric.  ``evaluate_dists``, when present, computes the
-    same value from the pairwise distance matrix alone; trackers use it to
-    share one distance computation across many candidate subsets.
+    ``r`` and the metric.  ``evaluate_batch``, when present, computes the
+    same values for a ``(B, k, d)`` stack of subsets; ``batch`` is the one
+    route through which the tracker, the evaluator and the theory score
+    subsets, and falls back to ``evaluate`` row by row.
     """
 
     name: str
@@ -47,7 +48,6 @@ class LocalFunctional:
     r_max: float
     xi_sup: float
     evaluate: Callable[[NDArray, float, Metric], float]
-    evaluate_dists: Optional[Callable[[NDArray, float], float]] = None
     evaluate_batch: Optional[Callable[[NDArray, float, Metric], NDArray]] = None
     meta: dict = field(default_factory=dict)
 
@@ -65,34 +65,34 @@ class LocalFunctional:
 # built-in functionals
 
 
+def _batch_of_one(
+    evaluate_batch: Callable[[NDArray, float, Metric], NDArray]
+) -> Callable[[NDArray, float, Metric], float]:
+    """Scalar ``evaluate`` that scores one subset through the batch code."""
+
+    def evaluate(points: NDArray, r: float, metric: Metric) -> float:
+        return float(evaluate_batch(np.asarray(points, dtype=float)[None], r, metric)[0])
+
+    return evaluate
+
+
 def make_clique(k: int) -> LocalFunctional:
     """Indicator that all ``k`` points are pairwise within distance ``r``."""
     if k < 1:
         raise ConfigError("clique size must be >= 1")
-
-    def from_dists(dmat: NDArray, r: float) -> float:
-        iu = np.triu_indices(len(dmat), 1)
-        return 1.0 if np.all(dmat[iu] <= r) else 0.0
-
-    def evaluate(points: NDArray, r: float, metric: Metric) -> float:
-        if k == 1:
-            return 1.0
-        return from_dists(metric.pairwise(points), r)
+    iu = np.triu_indices(k, 1)
 
     def evaluate_batch(points: NDArray, r: float, metric: Metric) -> NDArray:
-        if k == 1:
-            return np.ones(len(points))
-        dmat = metric.pairwise_batch(points)
-        iu = np.triu_indices(k, 1)
-        return np.all(dmat[:, iu[0], iu[1]] <= r, axis=1).astype(float)
+        # a single point has no pairs, so every subset scores 1
+        adjacent = metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r
+        return np.all(adjacent, axis=1).astype(float)
 
     return LocalFunctional(
         name=f"clique:{k}",
         k=k,
         r_max=1.0,
         xi_sup=1.0,
-        evaluate=evaluate,
-        evaluate_dists=from_dists,
+        evaluate=_batch_of_one(evaluate_batch),
         evaluate_batch=evaluate_batch,
     )
 
@@ -113,10 +113,23 @@ def _connected(k: int, edges: Sequence[tuple[int, int]]) -> bool:
     return len(seen) == k
 
 
+# The accepted codes are built from one row per relabelling, k! in all:
+# about 24 MB at k = 8, but 362,880 rows and about 240 MB at k = 9.
+MAX_SUBGRAPH_NODES = 8
+
+
 def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
     """Indicator that the distance graph on ``S`` at scale ``r`` is isomorphic
     to the given connected graph on nodes ``0..k-1`` (induced isomorphism:
-    non-edges must be absent as well)."""
+    non-edges must be absent as well).
+
+    Patterns have at most ``MAX_SUBGRAPH_NODES`` nodes.  A subset's graph
+    is read as a ``k(k-1)/2``-bit code over its node pairs, and it scores 1
+    iff that code is among the codes of the pattern's ``k!`` relabellings,
+    which are computed once here.
+    """
+    if k > MAX_SUBGRAPH_NODES:
+        raise ConfigError(f"subgraph patterns have at most {MAX_SUBGRAPH_NODES} nodes, got {k}")
     edge_set = {tuple(sorted(e)) for e in edges}
     for a, b in edge_set:
         if not (0 <= a < k and 0 <= b < k) or a == b:
@@ -129,38 +142,14 @@ def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
     target = np.zeros((k, k), dtype=bool)
     for a, b in edge_set:
         target[a, b] = target[b, a] = True
-    target_degrees = np.sort(target.sum(axis=0))
-    perms = list(itertools.permutations(range(k)))
-
-    def from_dists(dmat: NDArray, r: float) -> float:
-        adj = dmat <= r
-        np.fill_diagonal(adj, False)
-        if not np.array_equal(np.sort(adj.sum(axis=0)), target_degrees):
-            return 0.0
-        for perm in perms:
-            p = np.asarray(perm)
-            if np.array_equal(adj[np.ix_(p, p)], target):
-                return 1.0
-        return 0.0
-
-    def evaluate(points: NDArray, r: float, metric: Metric) -> float:
-        return from_dists(metric.pairwise(points), r)
+    iu = np.triu_indices(k, 1)
+    bits = np.int64(1) << np.arange(len(iu[0]), dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(k))))
+    accepted = np.unique(target[perms[:, iu[0]], perms[:, iu[1]]] @ bits)
 
     def evaluate_batch(points: NDArray, r: float, metric: Metric) -> NDArray:
-        dmat = metric.pairwise_batch(points)
-        adj = dmat <= r
-        idx = np.arange(k)
-        adj[:, idx, idx] = False
-        degrees = np.sort(adj.sum(axis=1), axis=1)
-        out = np.zeros(len(points))
-        candidates = np.nonzero(np.all(degrees == target_degrees, axis=1))[0]
-        for i in candidates:
-            for perm in perms:
-                p = np.asarray(perm)
-                if np.array_equal(adj[i][np.ix_(p, p)], target):
-                    out[i] = 1.0
-                    break
-        return out
+        codes = (metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r) @ bits
+        return np.isin(codes, accepted).astype(float)
 
     label = ",".join(f"{a}-{b}" for a, b in sorted(edge_set))
     return LocalFunctional(
@@ -169,8 +158,7 @@ def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
         # connected on k nodes: graph diameter <= k-1 hops of length <= r
         r_max=float(k - 1),
         xi_sup=1.0,
-        evaluate=evaluate,
-        evaluate_dists=from_dists,
+        evaluate=_batch_of_one(evaluate_batch),
         evaluate_batch=evaluate_batch,
     )
 
@@ -201,7 +189,6 @@ def make_morse(index: int, radius_range: tuple[float, float] = (0.0, 1.0)) -> Lo
         r_max=2.0 * hi,
         xi_sup=1.0,
         evaluate=evaluate,
-        evaluate_dists=None,
         meta={"radius_range": (lo, hi)},
     )
 

@@ -99,9 +99,14 @@ class Metric:
         return anchor + delta
 
     def wrap(self, x: NDArray) -> NDArray:
-        """Map a position into the canonical domain (identity on R^d)."""
+        """Map positions into the canonical domain (identity on R^d).
+
+        Torus results lie in ``[0, 1)``, so wrapping twice changes nothing.
+        """
         if self.kind == "torus":
-            return np.mod(x, 1.0)
+            wrapped = np.mod(x, 1.0)
+            # np.mod rounds tiny negatives up to 1.0, outside the periodic box
+            return np.where(wrapped >= 1.0, 0.0, wrapped)
         return np.asarray(x, dtype=float)
 
 
@@ -194,11 +199,6 @@ class GridIndex:
         pts = np.array([self._positions[c] for c in candidates])
         dist = self.metric.distance_many(x, pts)
         return [c for c, dd in zip(candidates, dist) if dd <= rho]
-
-
-def neighbors_within(index: GridIndex, x: NDArray, rho: float) -> list[Hashable]:
-    """Ids of indexed points within closed distance ``rho`` of ``x``."""
-    return index.query(x, rho)
 
 
 @dataclass(frozen=True)

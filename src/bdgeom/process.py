@@ -221,9 +221,10 @@ class Configuration:
 
     @classmethod
     def from_points(cls, positions: NDArray, metric: Metric) -> "Configuration":
-        config = cls(metric)
-        for pos in np.atleast_2d(np.asarray(positions, dtype=float)):
-            config.add(pos)
+        """Configuration holding the rows of ``positions`` with ids ``0, 1, ...``."""
+        wrapped = metric.wrap(np.array(positions, dtype=float, ndmin=2))
+        config = cls(metric, next_id=len(wrapped))
+        config._points = dict(enumerate(wrapped))
         return config
 
     def __len__(self) -> int:

@@ -106,41 +106,40 @@ class SubsetTracker:
     # -- initial enumeration ------------------------------------------------
 
     def _init_scan(self) -> None:
-        k = self.f.k
-        if k == 1:
-            for pid in sorted(self.config.ids()):
-                self._admit((pid,), self.config.position(pid)[None, :])
-            return
         for anchor in sorted(self.config.ids()):
             pos = self.config.position(anchor)
-            cands = sorted(
+            pids = [anchor] + sorted(
                 p for p in self.config.neighbors_within(pos, self.enum_radius)
                 if p > anchor
             )
-            if len(cands) < k - 1:
-                continue
-            pts = self.config.positions_array(cands)
-            allpts = np.vstack([pos[None, :], pts])
-            dmat = self.config.metric.pairwise(allpts)
-            for combo in combinations(range(len(cands)), k - 1):
-                idx = (0,) + tuple(i + 1 for i in combo)
-                val = self._eval(allpts, dmat, idx)
-                if val != 0.0:
-                    pids = (anchor,) + tuple(cands[i] for i in combo)
-                    self._admit(pids, allpts[list(idx)], val)
+            for members, points, val in self._scored(pids, self.config.positions_array(pids), 0):
+                self._admit(members, points, val)
 
-    def _eval(self, allpts: NDArray, dmat: NDArray, idx: tuple) -> float:
-        if self.f.evaluate_dists is not None:
-            sub = dmat[np.ix_(idx, idx)]
-            return self.f.evaluate_dists(sub, self.r)
-        return self.f.evaluate(allpts[list(idx)], self.r, self.config.metric)
+    def _scored(self, pids: list[int], pts: NDArray, must: int) -> list[tuple]:
+        """``(members, points, value)`` of every ``k``-subset of ``pids`` that
+        contains ``pids[must]`` and has a nonzero value, all scored in one
+        ``functional.batch`` call.
 
-    def _admit(self, pids: tuple, points: NDArray, val: Optional[float] = None) -> None:
-        """Register a subset with nonzero value (computing it for k == 1)."""
-        if val is None:
-            val = self.f.evaluate(points, self.r, self.config.metric)
-            if val == 0.0:
-                return
+        ``pids`` ascends (``pts`` holds their positions), so members reach
+        the functional in id order, as in the evaluator.
+        """
+        k = self.f.k
+        if len(pids) < k:
+            return []
+        combos = list(combinations([i for i in range(len(pids)) if i != must], k - 1))
+        rows = np.empty((len(combos), k), dtype=np.intp)
+        rows[:, :-1] = np.array(combos, dtype=np.intp).reshape(len(combos), k - 1)
+        rows[:, -1] = must
+        rows.sort(axis=1)
+        subsets = pts[rows]
+        vals = self.f.batch(subsets, self.r, self.config.metric)
+        return [
+            (tuple(pids[i] for i in rows[j]), subsets[j], float(vals[j]))
+            for j in np.nonzero(vals)[0]
+        ]
+
+    def _admit(self, pids: tuple, points: NDArray, val: float) -> None:
+        """Register a subset with nonzero value."""
         if self.nbhd is None:
             self._sum.add(val)
             return
@@ -182,44 +181,19 @@ class SubsetTracker:
                 if entry.vacant and entry.region.contains(x):
                     entry.vacant = False
                     self._sum.add(-entry.xi)
-        k = self.f.k
-        if k == 1:
-            self._admit((pid,), x[None, :])
-            return
         cands = sorted(self.config.neighbors_within(x, self.enum_radius))
-        if len(cands) < k - 1:
-            return
-        pts = self.config.positions_array(cands)
-        allpts = np.vstack([pts, x[None, :]])
-        dmat = self.config.metric.pairwise(allpts)
-        last = len(cands)
-        for combo in combinations(range(len(cands)), k - 1):
-            idx = combo + (last,)
-            val = self._eval(allpts, dmat, idx)
-            if val != 0.0:
-                pids = tuple(cands[i] for i in combo) + (pid,)
-                self._admit(pids, allpts[list(idx)], val)
+        pts = np.vstack([self.config.positions_array(cands), x[None, :]])
+        # the newcomer's id is the largest, so it goes last
+        for members, points, val in self._scored(cands + [pid], pts, len(cands)):
+            self._admit(members, points, val)
 
     def _on_death(self, pid: int) -> None:
         y = self.config.position(pid)
-        k = self.f.k
         if self.nbhd is None:
-            if k == 1:
-                self._sum.add(-self.f.evaluate(y[None, :], self.r, self.config.metric))
-                return
             ids = sorted(self.config.neighbors_within(y, self.enum_radius))
-            if len(ids) < k:
-                return
-            # members in id order, as when the subsets were admitted
-            at = ids.index(pid)
-            allpts = self.config.positions_array(ids)
-            dmat = self.config.metric.pairwise(allpts)
-            others = [i for i in range(len(ids)) if i != at]
-            for combo in combinations(others, k - 1):
-                idx = tuple(sorted(combo + (at,)))
-                val = self._eval(allpts, dmat, idx)
-                if val != 0.0:
-                    self._sum.add(-val)
+            pts = self.config.positions_array(ids)
+            for _, _, val in self._scored(ids, pts, ids.index(pid)):
+                self._sum.add(-val)
             return
         # exclusive mode: drop subsets containing the point ...
         for key in list(self._member_keys.get(pid, ())):
@@ -281,6 +255,9 @@ def evaluate_statistic(
     radius = max(enum_radius, r) if balls else enum_radius
     tree = _metric_tree(positions, metric)
     pairs, dist = _close_pairs(tree, positions, radius, metric)
+    # the CSR of _diameter_subsets and the _has_edge lookups need (i, j) order
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    pairs, dist = pairs[order], dist[order]
     subsets = _diameter_subsets(pairs[dist <= enum_radius], n, k)
     if len(subsets) == 0:
         return 0.0
@@ -305,8 +282,7 @@ def evaluate_statistic(
         region = neighborhood.build(positions[members], r, metric)
         if region is None:
             continue
-        anchor = metric.wrap(region.anchor) if metric.kind == "torus" else region.anchor
-        near = tree.query_ball_point(anchor, padded_radius(region.query_radius))
+        near = tree.query_ball_point(region.anchor, padded_radius(region.query_radius))
         others = np.setdiff1d(near, members)
         if len(others) and bool(np.any(region.contains_many(positions[others]))):
             continue
@@ -316,10 +292,7 @@ def evaluate_statistic(
 
 def _metric_tree(positions: NDArray, metric: Metric) -> cKDTree:
     if metric.kind == "torus":
-        wrapped = np.mod(positions, 1.0)
-        # np.mod rounds tiny negatives up to 1.0, outside the periodic box
-        wrapped[wrapped >= 1.0] = 0.0
-        return cKDTree(wrapped, boxsize=1.0)
+        return cKDTree(metric.wrap(positions), boxsize=1.0)
     return cKDTree(positions)
 
 
@@ -331,15 +304,14 @@ def _close_pairs(
     The KD-tree proposes candidates at a slightly inflated radius and the
     ``Metric.distance_many`` formula decides, so ties at ``dist == rho``
     fall as in ``BallUnionRegion.contains_many`` and ``GridIndex.query``.
-    Pairs come sorted by ``(i, j)``.
+    Pairs come in the tree's order.
     """
     pairs = tree.query_pairs(padded_radius(rho), output_type="ndarray")
     delta = positions[pairs[:, 1]] - positions[pairs[:, 0]]
     if metric.kind == "torus":
         delta = delta - np.round(delta)
     dist = np.sqrt(np.sum(delta * delta, axis=1))
-    keep = np.nonzero(dist <= rho)[0]
-    keep = keep[np.lexsort((pairs[keep, 1], pairs[keep, 0]))]
+    keep = dist <= rho
     return pairs[keep], dist[keep]
 
 

@@ -47,18 +47,6 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def factorial_tail(x: float, after: int, terms: int = 200) -> float:
-    """``sum_{m > after} x**m / m!`` by direct summation."""
-    total = 0.0
-    term = x**after / math.factorial(after)
-    for m in range(after + 1, after + terms + 1):
-        term *= x / m
-        total += term
-        if term < 1e-300:
-            break
-    return total
-
-
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> NDArray:
     """Uniform draws from the ball of the given radius around the origin."""
     direction = rng.standard_normal((count, dim))
@@ -262,99 +250,6 @@ def _region_volume_sup(functional: LocalFunctional, nbhd: NeighborhoodMap, dim: 
     return vball * hi**dim
 
 
-def vacancy_rate_integral_batch(
-    functional: LocalFunctional,
-    nbhd: NeighborhoodMap,
-    density: Density,
-    gamma: float,
-    shared: int,
-    max_power: int,
-    budget: int = 20_000,
-    vol_samples: int = 10_000,
-    seed: int = 0,
-    groups: int = 40,
-) -> list[Optional[IntegralEstimate]]:
-    """All vacancy-weighted overlap integrals for one shared-point count.
-
-    For tuple pairs sharing ``shared`` points the integrand couples the two
-    functional values with ``exp(-gamma * q * (vol A + vol B))`` and powers
-    ``(q * vol(A & B)) ** power`` of the region intersection, where ``A``
-    and ``B`` are the neighborhood regions of the two tuples at scale 1.
-    One Monte Carlo pass serves every power ``0..max_power`` (the volumes
-    are computed once per tuple pair by shared hit-or-miss sampling).
-
-    Returns a list indexed by power; index 0 is None for ``shared == 0``
-    (that integral diverges: distant tuple pairs contribute without decay).
-    """
-    k = functional.k
-    if not 0 <= shared <= k:
-        raise ValueError("shared must lie in 0..k")
-    budget = max(groups, (budget // groups) * groups)
-    dim = density.dim
-    rng = np.random.default_rng(seed)
-    reach = nbhd.reach_scale1(functional)
-    first, second, volume = _shared_tuples(
-        functional, dim, shared, budget, rng, free_anchor_radius=2.0 * reach
-    )
-    metric = Metric("euclidean", dim)
-    vals = functional.batch(first, 1.0, metric) * functional.batch(second, 1.0, metric)
-    hits = np.nonzero(vals != 0.0)[0]
-    uniform_density = density.kind == "uniform"
-    if uniform_density:
-        qx = np.ones(len(hits))
-        x_weight = np.ones(len(hits))
-    else:
-        x = density.sample(rng, len(hits))
-        qx = density.pdf_many(x)
-        # x is importance-sampled from q, so one density factor cancels
-        x_weight = qx ** (2 * k - shared - 1)
-    powers = np.arange(max_power + 1)
-    contrib = np.zeros((budget, max_power + 1))
-    for row, i in enumerate(hits):
-        region_a = nbhd.build(first[i], 1.0, metric)
-        region_b = nbhd.build(second[i], 1.0, metric)
-        if region_a is None or region_b is None:
-            continue
-        vol_a, vol_b, vol_ab = pair_volumes(region_a, region_b, vol_samples, rng)
-        base = vals[i] * x_weight[row] * math.exp(-gamma * qx[row] * (vol_a + vol_b))
-        contrib[i] = base * (qx[row] * vol_ab) ** powers
-    # group means make the reported error include the inner volume noise
-    contrib *= volume
-    group_means = contrib.reshape(groups, budget // groups, -1).mean(axis=1)
-    means = group_means.mean(axis=0)
-    errs = group_means.std(axis=0, ddof=1) / math.sqrt(groups)
-    out: list[Optional[IntegralEstimate]] = []
-    for power in range(max_power + 1):
-        if shared == 0 and power == 0:
-            out.append(None)
-            continue
-        out.append(
-            IntegralEstimate(float(means[power]), float(errs[power]), "monte-carlo", budget)
-        )
-    return out
-
-
-def vacancy_rate_integral(
-    functional: LocalFunctional,
-    nbhd: NeighborhoodMap,
-    density: Density,
-    gamma: float,
-    shared: int,
-    power: int,
-    budget: int = 20_000,
-    vol_samples: int = 10_000,
-    seed: int = 0,
-) -> IntegralEstimate:
-    """Single vacancy-weighted overlap integral (see the batch variant)."""
-    if shared == 0 and power == 0:
-        raise ValueError("the shared=0, power=0 integral diverges")
-    result = vacancy_rate_integral_batch(
-        functional, nbhd, density, gamma, shared, power, budget, vol_samples, seed
-    )[power]
-    assert result is not None
-    return result
-
-
 # ---------------------------------------------------------------------------
 # covariance models
 
@@ -411,10 +306,6 @@ class CovarianceModel:
     def load(cls, path: str) -> "CovarianceModel":
         with open(path) as handle:
             return cls.from_dict(json.load(handle))
-
-
-def covariance_curve(model: CovarianceModel, deltas) -> NDArray:
-    return model.curve(deltas)
 
 
 def _normalize_weights(raw: NDArray, raw_err: NDArray) -> tuple[NDArray, NDArray]:

@@ -7,6 +7,9 @@ estimators.  Rerun via BDGEOM_RUN_ORACLES=1 (see test_theory.py).
 """
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -41,6 +44,23 @@ def triple_disk_area(centers: np.ndarray, xpoints: int = 1024) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float((hi - lo) / n / 3.0 * np.sum(weights * height))
+
+
+def induced_pattern_indicator(points, r: float, k: int, edges) -> float:
+    """1.0 iff the closed radius-``r`` euclidean graph on the ``k`` points is
+    the pattern ``edges`` under some relabelling, by trying all ``k!``."""
+    adjacent = {
+        (a, b): math.dist(points[a], points[b]) <= r
+        for a, b in itertools.combinations(range(k), 2)
+    }
+    pattern = {tuple(sorted(e)) for e in edges}
+    for perm in itertools.permutations(range(k)):
+        if all(
+            adjacent[a, b] == (tuple(sorted((perm[a], perm[b]))) in pattern)
+            for a, b in adjacent
+        ):
+            return 1.0
+    return 0.0
 
 
 def _gauss(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -268,6 +268,12 @@ def test_bad_set_syntax(tmp_path):
     assert main(["simulate", "--config", cfg, "--set", "garbage"]) == 2
 
 
+def test_oversized_subgraph_pattern(tmp_path):
+    path = ",".join(f"{i}-{i + 1}" for i in range(11))
+    cfg = write_config(tmp_path, **{**SIM_FIELDS, "functional": f"subgraph:12:{path}"})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_bad_jobs(tmp_path):
     cfg = write_config(tmp_path, **SIM_FIELDS)
     assert main(["simulate", "--config", cfg, "--jobs", "0"]) == 2

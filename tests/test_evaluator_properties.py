@@ -2,8 +2,8 @@
 
 Configurations mix uniform points with three adversarial kinds: lattice
 points spaced by ``r`` (pairs at distance exactly ``r``), coordinates on the
-torus seam (``0``, ``-0``, ``1``, tiny negatives that wrap to ``1.0``) and
-coincident copies of earlier points.
+torus seam (``0``, ``-0``, ``1``, tiny negatives that ``np.mod`` rounds to
+``1.0``) and coincident copies of earlier points.
 """
 from itertools import combinations
 
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdgeom.functionals import NeighborhoodMap, make_clique
+from bdgeom.functionals import NeighborhoodMap, make_clique, make_subgraph
 from bdgeom.geometry import Metric
 from bdgeom.process import Configuration, Event, MarkedPoint
 from bdgeom.statistics import SubsetTracker, count_pairs_within, evaluate_statistic
@@ -21,6 +21,8 @@ METRICS = (Metric("torus", 2), Metric("euclidean", 2))
 # balls around subgraph:3 reach 3r, which must stay below half the torus
 RADII = (0.05, 0.1, 0.125)
 SEAM = (0.0, -0.0, 1.0, -1e-17, 1.0 - 2.0**-53, 0.5)
+# plus a 4-node path: its enumeration reach 3r stays below half the torus
+PAIRS = _builtin_pairs() + [(make_subgraph(4, [(0, 1), (1, 2), (2, 3)]), None)]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -97,7 +99,7 @@ def test_clique_counts_match_brute_force(case):
 def test_builtin_pairs_tracker_equals_evaluator(case):
     r, pts = case
     for metric in METRICS:
-        for f, nb in _builtin_pairs():
+        for f, nb in PAIRS:
             config = Configuration.from_points(pts, metric)
             tracked = SubsetTracker(config, f, r, nb).value
             assert tracked == evaluate_statistic(config, f, r, nb), (metric.kind, f.name, nb)
@@ -110,7 +112,7 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
     metric = data.draw(st.sampled_from(METRICS))
     extra = data.draw(configurations(max_points=8))[1]
     config = Configuration.from_points(pts, metric)
-    trackers = [SubsetTracker(config, f, r, nb) for f, nb in _builtin_pairs()]
+    trackers = [SubsetTracker(config, f, r, nb) for f, nb in PAIRS]
     births = iter(extra)
     for step in range(len(pts) + len(extra)):
         alive = sorted(config.ids())
@@ -126,5 +128,5 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
         for tracker in trackers:
             tracker.apply_event(event)
         config.apply_event(event)
-    for tracker, (f, nb) in zip(trackers, _builtin_pairs()):
+    for tracker, (f, nb) in zip(trackers, PAIRS):
         assert tracker.value == evaluate_statistic(config, f, r, nb), (metric.kind, f.name, nb)

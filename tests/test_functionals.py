@@ -1,4 +1,5 @@
 """Local functionals, neighborhood regions, and the invariance validator."""
+import itertools
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from bdgeom.functionals import (
     BallUnionRegion,
     ConfigError,
     LocalFunctional,
+    MAX_SUBGRAPH_NODES,
     NeighborhoodMap,
     from_selector,
     make_clique,
@@ -21,6 +23,7 @@ from bdgeom.functionals import (
     validate_functional,
 )
 from bdgeom.geometry import Metric
+from oracles import induced_pattern_indicator
 
 E2 = Metric("euclidean", 2)
 T2 = Metric("torus", 2)
@@ -91,6 +94,33 @@ def test_subgraph_batch_matches_loop():
     assert np.array_equal(f.batch(batch, 0.8, E2), single)
 
 
+def connected_patterns(k):
+    """Every connected labelled pattern on ``k`` nodes, with its functional."""
+    pairs = list(itertools.combinations(range(k), 2))
+    for mask in range(1, 2 ** len(pairs)):
+        edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+        try:
+            yield edges, make_subgraph(k, edges)
+        except ConfigError:  # disconnected
+            continue
+
+
+def test_subgraph_codes_match_permutation_oracle():
+    rng = np.random.default_rng(5)
+    patterns = 0
+    for k in (2, 3, 4):
+        # integer points put many pairs at distance exactly r = 1
+        lattice = rng.integers(0, 3, size=(80, k, 2)).astype(float)
+        spread = rng.random((80, k, 2)) * 2.0
+        batch = np.concatenate([lattice, spread])
+        for edges, f in connected_patterns(k):
+            patterns += 1
+            expect = [induced_pattern_indicator(p, 1.0, k, edges) for p in batch]
+            assert 0.0 < np.mean(expect) < 1.0, f.name
+            assert np.array_equal(f.batch(batch, 1.0, E2), expect), f.name
+    assert patterns == 1 + 4 + 38
+
+
 def test_subgraph_rejects_bad_patterns():
     with pytest.raises(ConfigError):
         make_subgraph(4, [(0, 1), (2, 3)])  # disconnected
@@ -98,6 +128,16 @@ def test_subgraph_rejects_bad_patterns():
         make_subgraph(3, [(0, 5)])  # node out of range
     with pytest.raises(ConfigError):
         make_subgraph(2, [])  # no edges
+
+
+def test_subgraph_node_cap():
+    def path(k):
+        return ",".join(f"{i}-{i + 1}" for i in range(k - 1))
+
+    assert from_selector(f"subgraph:8:{path(8)}").k == MAX_SUBGRAPH_NODES
+    # rejected before the k! relabelling table is built
+    with pytest.raises(ConfigError, match="at most 8 nodes"):
+        from_selector(f"subgraph:12:{path(12)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bdgeom.geometry import (
     DegenerateGeometryError,
     GridIndex,
     Metric,
     circumball,
-    neighbors_within,
 )
 
 
@@ -55,6 +57,19 @@ def test_pairwise_batch_matches_pairwise():
 def test_distance_many_empty():
     m = Metric("torus", 2)
     assert m.distance_many(np.zeros(2), np.zeros((0, 2))).shape == (0,)
+
+
+# np.mod(x, 1.0) rounds each of the tiny negatives up to exactly 1.0
+SEAM = (0.0, -0.0, 1.0, -1e-17, -5e-324, 1.0 - 2.0**-53, -1.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(arrays(float, (5, 2), elements=st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SEAM))))
+def test_torus_wrap_is_idempotent_into_unit_cube(x):
+    m = Metric("torus", 2)
+    once = m.wrap(x)
+    assert np.all((once >= 0.0) & (once < 1.0))
+    assert np.array_equal(m.wrap(once), once)
 
 
 def test_unwrap_preserves_small_diameter_geometry():
@@ -132,13 +147,6 @@ def test_grid_duplicate_or_missing_key():
         index.insert("a", np.ones(2))
     with pytest.raises(KeyError):
         index.remove("b")
-
-
-def test_neighbors_within_helper():
-    index = GridIndex(Metric("euclidean", 1), 1.0)
-    index.insert(0, np.array([0.0]))
-    index.insert(1, np.array([2.0]))
-    assert set(neighbors_within(index, np.array([0.1]), 0.5)) == {0}
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from bdgeom.theory import (
     IntegralEstimate,
     TruncationError,
     _exclusive_harmonics,
-    covariance_curve,
     exclusive_mixture_model,
-    factorial_tail,
     mean_moment,
     mixture_model,
     overlap_moment,
@@ -27,8 +25,6 @@ from bdgeom.theory import (
     simulate_ou_superposition,
     statistic_mean_variance,
     unit_ball_volume,
-    vacancy_rate_integral,
-    vacancy_rate_integral_batch,
 )
 
 UNIFORM2 = Density("uniform", 2)
@@ -46,13 +42,6 @@ def test_unit_ball_volume():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
-
-
-def test_factorial_tail():
-    # sum_{m>0} x^m/m! = e^x - 1
-    assert factorial_tail(0.7, 0) == pytest.approx(math.exp(0.7) - 1.0, rel=1e-12)
-    assert factorial_tail(1.0, 20) == pytest.approx(2.050298068624661e-20, rel=1e-10)
-    assert factorial_tail(2.0, 5) > factorial_tail(2.0, 10)
 
 
 # -- plain moment integrals ----------------------------------------------------
@@ -185,20 +174,26 @@ def test_plain_mixture_rejects_bad_gamma():
 
 
 # -- vacancy-weighted integrals ---------------------------------------------------
+#
+# Without cross exclusion the harmonic column of power p is the
+# vacancy-weighted integral of (q * vol(A & B))**p times gamma**p / p!.
+
+
+def vacancy_columns(f, gamma, shared, max_power, **kwargs):
+    signed, absed = _exclusive_harmonics(
+        f, NeighborhoodMap("balls"), UNIFORM2, gamma, shared, max_power,
+        cross_exclusion=False, **kwargs,
+    )
+    assert all(
+        (a is None and b is None) or a.value == b.value for a, b in zip(signed, absed)
+    )
+    return signed
 
 
 def test_vacancy_integral_matches_quadrature_oracle():
-    est = vacancy_rate_integral(
-        make_clique(2),
-        NeighborhoodMap("balls"),
-        UNIFORM2,
-        gamma=1.0,
-        shared=1,
-        power=1,
-        budget=6_000,
-        vol_samples=3_000,
-        seed=2,
-    )
+    est = vacancy_columns(
+        make_clique(2), 1.0, shared=1, max_power=1, budget=6_000, vol_samples=3_000, seed=2
+    )[1]
     tol = 3.0 * est.std_error + 0.01 * KAPPA_EDGES_J1_M1 + KAPPA_BAND
     assert abs(est.value - KAPPA_EDGES_J1_M1) < tol
 
@@ -206,32 +201,16 @@ def test_vacancy_integral_matches_quadrature_oracle():
 def test_vacancy_integral_fully_shared_power_zero():
     # j = k = 1 with ball regions: every sample contributes e^(-2 gamma pi)
     gamma = 0.8
-    est = vacancy_rate_integral(
-        make_clique(1),
-        NeighborhoodMap("balls"),
-        UNIFORM2,
-        gamma=gamma,
-        shared=1,
-        power=0,
-        budget=400,
-        vol_samples=20_000,
-        seed=3,
-    )
+    est = vacancy_columns(
+        make_clique(1), gamma, shared=1, max_power=0, budget=400, vol_samples=20_000, seed=3
+    )[0]
     exact = math.exp(-2.0 * gamma * math.pi)
     assert abs(est.value - exact) < 4.0 * est.std_error + 1e-3
 
 
 def test_vacancy_batch_shared_zero_column():
-    cols = vacancy_rate_integral_batch(
-        make_clique(2),
-        NeighborhoodMap("balls"),
-        UNIFORM2,
-        gamma=1.0,
-        shared=0,
-        max_power=2,
-        budget=4_000,
-        vol_samples=1_000,
-        seed=4,
+    cols = vacancy_columns(
+        make_clique(2), 1.0, shared=0, max_power=2, budget=4_000, vol_samples=1_000, seed=4
     )
     assert cols[0] is None
     assert cols[1] is not None and cols[1].value > 0
@@ -241,34 +220,9 @@ def test_vacancy_batch_shared_zero_column():
 def test_vacancy_integral_validation():
     f = make_clique(2)
     nb = NeighborhoodMap("balls")
+    assert _exclusive_harmonics(f, nb, UNIFORM2, 1.0, 0, 0, budget=10)[0] == [None]
     with pytest.raises(ValueError):
-        vacancy_rate_integral(f, nb, UNIFORM2, 1.0, shared=0, power=0, budget=10)
-    with pytest.raises(ValueError):
-        vacancy_rate_integral_batch(f, nb, UNIFORM2, 1.0, shared=3, max_power=1, budget=10)
-
-
-def test_harmonics_match_vacancy_table_without_cross_exclusion():
-    """With mutual exclusion switched off the harmonic columns must equal
-    the vacancy table entries times gamma^p / p! (identical sample paths)."""
-    f = make_clique(2)
-    nb = NeighborhoodMap("balls")
-    gamma = 1.3
-    for j in (0, 1, 2):
-        seed = 7 + j
-        signed, absed = _exclusive_harmonics(
-            f, nb, UNIFORM2, gamma, j, 3,
-            budget=2_000, vol_samples=500, seed=seed, cross_exclusion=False,
-        )
-        table = vacancy_rate_integral_batch(
-            f, nb, UNIFORM2, gamma, j, 3, budget=2_000, vol_samples=500, seed=seed
-        )
-        for p in range(4):
-            if j == 0 and p == 0:
-                assert signed[p] is None and table[p] is None
-                continue
-            expect = table[p].value * gamma**p / math.factorial(p)
-            assert signed[p].value == pytest.approx(expect, rel=1e-9, abs=1e-300)
-            assert absed[p].value == pytest.approx(expect, rel=1e-9, abs=1e-300)
+        _exclusive_harmonics(f, nb, UNIFORM2, 1.0, shared=3, max_power=1, budget=10)
 
 
 # -- exclusive mixture model -----------------------------------------------------
@@ -363,7 +317,6 @@ def test_model_curve_properties():
     grid = model.curve(np.linspace(0.0, 3.0, 13))
     assert np.all(np.diff(grid) < 0)
     assert np.allclose(model.amplitudes() ** 2, model.weights)
-    assert np.array_equal(covariance_curve(model, [0.5]), model.curve([0.5]))
 
 
 # -- OU superposition sampler ----------------------------------------------------
