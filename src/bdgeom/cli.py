@@ -38,6 +38,16 @@ from .verify import estimate_covariance, kolmogorov_distance
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
+# Largest accepted work estimate: simulated events (about n(1 + 2T) a path),
+# sampled points, grid points or Monte Carlo draws.  At about 300 B an event,
+# one path at the limit holds about 3 GB; check 05's size is 6.6e6 events.
+MAX_WORK = 10**7
+
+
+def check_work(what: str, amount: float) -> None:
+    if not amount <= MAX_WORK:  # NaN fails too
+        raise ConfigError(f"{what} would be about {amount:.3g}, above the limit of {MAX_WORK:.0e}")
+
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
@@ -74,6 +84,7 @@ def _time_grid(spec, name: str) -> np.ndarray:
             raise ConfigError(f"{name} grid needs start/stop/step, missing {exc}")
         if step <= 0 or stop < start:
             raise ConfigError(f"{name} grid must have step > 0 and stop >= start")
+        check_work(f"the {name} grid length", (stop - start) / step + 1.0)
         return np.arange(start, stop + step / 2.0, step)
     grid = np.asarray(spec, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -143,6 +154,22 @@ def _simulate_one(args: tuple) -> list[float]:
     return [float(v) for v in series.values]
 
 
+def _check_paths(cfg: dict, seed: int, times: np.ndarray, reps: int) -> None:
+    config = _sim_config(cfg, seed)
+    check_work("simulated events n(1 + 2T) x replications", config.n * (1.0 + 2.0 * config.horizon) * reps)
+    check_work("path samples", float(len(times)) * reps)
+
+
+def _check_model(cfg: dict) -> None:
+    """The sizes ``_build_model`` reads, with its defaults."""
+    exclusive = cfg.get("neighborhood", "none") != "none"
+    budget = float(cfg.get("budget", 20_000 if exclusive else 200_000))
+    check_work("the model budget", budget)
+    if exclusive:
+        check_work("the volume samples", float(cfg.get("vol_samples", 10_000)))
+        check_work("the harmonic table", budget * (float(cfg.get("max_rate", 20)) + 1.0))
+
+
 def _simulate_paths(cfg: dict, seed: int, times: np.ndarray, reps: int, jobs: int) -> np.ndarray:
     tasks = [(cfg, seed, tuple(times), rep) for rep in range(reps)]
     workers = suite.worker_count(jobs, len(tasks))
@@ -169,6 +196,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, jobs: int) -> int:
     reps = int(cfg.get("replications", 1))
     if reps < 1:
         raise ConfigError("replications must be >= 1")
+    _check_paths(cfg, seed, times, reps)
     matrix = _simulate_paths(cfg, seed, times, reps, jobs)
     _write_csv(out / "paths.csv", "rep,t,value", _paths_rows(times, matrix))
     _write_json(
@@ -214,6 +242,7 @@ def _build_model(cfg: dict, seed: int):
 
 
 def cmd_theory(cfg: dict, seed: int, out: Path, jobs: int) -> int:
+    _check_model(cfg)
     model = _build_model(cfg, seed)
     model.save(str(out / "model.json"))
     _write_json(
@@ -244,6 +273,8 @@ def cmd_covariance(cfg: dict, seed: int, out: Path, jobs: int) -> int:
     if reps < 3:
         raise ConfigError("covariance mode needs replications >= 3")
     tolerance = float(cfg.get("tolerance", 0.05))
+    _check_paths(cfg, seed, times, reps)
+    _check_model(cfg)
     matrix = _simulate_paths(cfg, seed, times, reps, jobs)
     _write_csv(out / "paths.csv", "rep,t,value", _paths_rows(times, matrix))
     model = _build_model(cfg, seed)
@@ -281,6 +312,7 @@ def cmd_gaussianity(cfg: dict, seed: int, out: Path, jobs: int) -> int:
         raise ConfigError("gaussianity mode needs replications >= 10")
     threshold = float(cfg.get("threshold", 0.05))
     config = _sim_config(cfg, seed)
+    check_work("sampled points n x replications", config.n * reps)
     functional = from_selector(cfg.get("functional", "clique:2"))
     nbhd = neighborhood_from_selector(cfg.get("neighborhood", "none"))
     r = _radius(cfg, config)

@@ -19,13 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import (
-    GEOM_TOL,
-    Circumball,
-    DegenerateGeometryError,
-    Metric,
-    circumball,
-)
+from .geometry import GEOM_TOL, Metric, circumball
 
 
 class ConfigError(ValueError):
@@ -36,44 +30,25 @@ class ConfigError(ValueError):
 class LocalFunctional:
     """Bounded, local, scale-invariant function of ``k``-point subsets.
 
-    ``evaluate`` receives the subset as a ``(k, d)`` array plus the scale
-    ``r`` and the metric.  ``evaluate_batch``, when present, computes the
-    same values for a ``(B, k, d)`` stack of subsets; ``batch`` is the one
-    route through which the tracker, the evaluator and the theory score
-    subsets, and falls back to ``evaluate`` row by row.
+    ``batch`` scores a ``(B, k, d)`` stack of subsets at scale ``r`` under
+    a metric and returns the ``(B,)`` values.  It is the one route through
+    which the tracker, the evaluator and the theory score subsets; calling
+    the functional on one ``(k, d)`` subset scores a batch of one.
     """
 
     name: str
     k: int
     r_max: float
     xi_sup: float
-    evaluate: Callable[[NDArray, float, Metric], float]
-    evaluate_batch: Optional[Callable[[NDArray, float, Metric], NDArray]] = None
+    batch: Callable[[NDArray, float, Metric], NDArray]
     meta: dict = field(default_factory=dict)
 
     def __call__(self, points: NDArray, r: float, metric: Metric) -> float:
-        return self.evaluate(points, r, metric)
-
-    def batch(self, points: NDArray, r: float, metric: Metric) -> NDArray:
-        """Values over a batch of subsets, shape ``(B, k, d) -> (B,)``."""
-        if self.evaluate_batch is not None:
-            return self.evaluate_batch(points, r, metric)
-        return np.array([self.evaluate(p, r, metric) for p in points])
+        return float(self.batch(np.asarray(points, dtype=float)[None], r, metric)[0])
 
 
 # ---------------------------------------------------------------------------
 # built-in functionals
-
-
-def _batch_of_one(
-    evaluate_batch: Callable[[NDArray, float, Metric], NDArray]
-) -> Callable[[NDArray, float, Metric], float]:
-    """Scalar ``evaluate`` that scores one subset through the batch code."""
-
-    def evaluate(points: NDArray, r: float, metric: Metric) -> float:
-        return float(evaluate_batch(np.asarray(points, dtype=float)[None], r, metric)[0])
-
-    return evaluate
 
 
 def make_clique(k: int) -> LocalFunctional:
@@ -82,19 +57,12 @@ def make_clique(k: int) -> LocalFunctional:
         raise ConfigError("clique size must be >= 1")
     iu = np.triu_indices(k, 1)
 
-    def evaluate_batch(points: NDArray, r: float, metric: Metric) -> NDArray:
+    def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
         # a single point has no pairs, so every subset scores 1
         adjacent = metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r
         return np.all(adjacent, axis=1).astype(float)
 
-    return LocalFunctional(
-        name=f"clique:{k}",
-        k=k,
-        r_max=1.0,
-        xi_sup=1.0,
-        evaluate=_batch_of_one(evaluate_batch),
-        evaluate_batch=evaluate_batch,
-    )
+    return LocalFunctional(name=f"clique:{k}", k=k, r_max=1.0, xi_sup=1.0, batch=batch)
 
 
 def _connected(k: int, edges: Sequence[tuple[int, int]]) -> bool:
@@ -147,7 +115,7 @@ def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
     perms = np.array(list(itertools.permutations(range(k))))
     accepted = np.unique(target[perms[:, iu[0]], perms[:, iu[1]]] @ bits)
 
-    def evaluate_batch(points: NDArray, r: float, metric: Metric) -> NDArray:
+    def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
         codes = (metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r) @ bits
         return np.isin(codes, accepted).astype(float)
 
@@ -158,8 +126,7 @@ def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
         # connected on k nodes: graph diameter <= k-1 hops of length <= r
         r_max=float(k - 1),
         xi_sup=1.0,
-        evaluate=_batch_of_one(evaluate_batch),
-        evaluate_batch=evaluate_batch,
+        batch=batch,
     )
 
 
@@ -173,14 +140,10 @@ def make_morse(index: int, radius_range: tuple[float, float] = (0.0, 1.0)) -> Lo
     if not (0.0 <= lo < hi):
         raise ConfigError("radius range must satisfy 0 <= lo < hi")
 
-    def evaluate(points: NDArray, r: float, metric: Metric) -> float:
-        try:
-            ball = circumball(metric.unwrap(points))
-        except DegenerateGeometryError:
-            return 0.0
-        if not ball.center_in_simplex:
-            return 0.0
-        return 1.0 if lo * r < ball.radius <= hi * r else 0.0
+    def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
+        ball = circumball(metric.unwrap(points))
+        hit = ball.valid & ball.center_in_simplex & (lo * r < ball.radius) & (ball.radius <= hi * r)
+        return hit.astype(float)
 
     return LocalFunctional(
         name=f"morse:{index}",
@@ -188,7 +151,7 @@ def make_morse(index: int, radius_range: tuple[float, float] = (0.0, 1.0)) -> Lo
         # all points lie on a sphere of radius <= hi*r
         r_max=2.0 * hi,
         xi_sup=1.0,
-        evaluate=evaluate,
+        batch=batch,
         meta={"radius_range": (lo, hi)},
     )
 
@@ -277,15 +240,17 @@ class NeighborhoodMap:
 
     kind: str  # "balls" | "circumball"
 
-    def build(self, points: NDArray, r: float, metric: Metric):
+    def build(self, points: NDArray, r: float, metric: Metric) -> list:
+        """Regions of a ``(B, k, d)`` stack of subsets, one per row; a
+        degenerate row (no circumball) gets ``None``."""
         if self.kind == "balls":
-            return BallUnionRegion(points, r, metric)
-        try:
-            ball = circumball(metric.unwrap(points))
-        except DegenerateGeometryError:
-            return None
-        # unwrap anchors the chart at points[0], so the center is in-chart
-        return BallRegion(ball.center, ball.radius, metric)
+            return [BallUnionRegion(p, r, metric) for p in points]
+        ball = circumball(metric.unwrap(points))
+        # unwrap anchors each chart at the row's first point, so centers are in-chart
+        return [
+            BallRegion(center, radius, metric) if ok else None
+            for center, radius, ok in zip(ball.center, ball.radius, ball.valid)
+        ]
 
     def max_reach(self, functional: LocalFunctional, r: float) -> float:
         """Upper bound on ``query_radius`` over subsets with ``f > 0``."""

@@ -32,10 +32,6 @@ def padded_radius(rho: float) -> float:
     return rho * (1.0 + GEOM_TOL) + 1e-12
 
 
-class DegenerateGeometryError(ValueError):
-    """Point set is affinely dependent where independence is required."""
-
-
 @dataclass(frozen=True)
 class Metric:
     """Distance on R^d (``euclidean``) or on the unit torus (``torus``)."""
@@ -84,16 +80,17 @@ class Metric:
         return np.sqrt(np.sum(delta * delta, axis=3))
 
     def unwrap(self, points: NDArray) -> NDArray:
-        """Euclidean representatives of a torus point set of diameter < 1/2.
+        """Euclidean representatives of torus point sets of diameter < 1/2.
 
-        The first point anchors the chart; every other point is mapped to
-        the minimal-image representative relative to it.  Under the
-        euclidean metric points are returned unchanged.
+        ``points`` is one set ``(m, d)`` or a stack ``(..., m, d)``.  The
+        first point of each set anchors its chart; every other point is
+        mapped to the minimal-image representative relative to it.  Under
+        the euclidean metric points are returned unchanged.
         """
         pts = np.asarray(points, dtype=float)
-        if self.kind == "euclidean" or len(pts) == 0:
+        if self.kind == "euclidean":
             return pts
-        anchor = pts[0]
+        anchor = pts[..., :1, :]
         delta = pts - anchor
         delta = delta - np.round(delta)
         return anchor + delta
@@ -203,49 +200,55 @@ class GridIndex:
 
 @dataclass(frozen=True)
 class Circumball:
-    """Ball through all points of a set, with the center in their affine hull."""
+    """Balls through the point sets of a stack, centers in their affine hulls.
+
+    Each field has the stack's leading shape: ``center`` ``(..., d)``,
+    ``radius``, ``center_in_simplex`` and ``valid`` ``(...)``, and
+    ``barycentric`` ``(..., m)``.  Rows that are not ``valid`` hold NaN
+    geometry and ``center_in_simplex == False``.
+    """
 
     center: NDArray
-    radius: float
-    center_in_simplex: bool
+    radius: NDArray
+    center_in_simplex: NDArray
     barycentric: NDArray
+    valid: NDArray
 
 
-def circumball(points: NDArray, tol: float = GEOM_TOL) -> Circumball:
-    """Circumball of ``m`` affinely independent points in R^d (``m <= d + 1``).
+def circumball(points: NDArray) -> Circumball:
+    """Circumballs of a stack ``(..., m, d)`` of point sets (``m <= d + 1``).
 
-    The center is the unique point of the affine hull equidistant from all
-    inputs; ``center_in_simplex`` reports whether it falls strictly inside
-    the open simplex spanned by the points (all barycentric coordinates
-    greater than ``tol``).
+    The center of a set is the unique point of its affine hull equidistant
+    from all its points; ``center_in_simplex`` reports whether it falls
+    strictly inside the open simplex they span (all barycentric coordinates
+    greater than ``GEOM_TOL``).  A set that is (nearly) coincident or
+    affinely dependent, within ``GEOM_TOL``, gets ``valid == False``.
 
-    Raises
-    ------
-    DegenerateGeometryError
-        If the points are affinely dependent (within ``tol``).
+    One ``np.linalg.svd`` call covers the whole stack, and every further
+    step is elementwise or a short sum over a set's own axis, so each row
+    comes out bitwise the same whatever stack it is computed in.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-d array")
-    m, d = pts.shape
+    if pts.ndim < 2:
+        raise ValueError("points must be an array of shape (..., m, d)")
+    m, d = pts.shape[-2:]
     if m < 1 or m > d + 1:
         raise ValueError(f"need 1..d+1 points in R^{d}, got {m}")
+    lead = pts.shape[:-2]
+    base = pts[..., 0, :]
     if m == 1:
-        return Circumball(pts[0].copy(), 0.0, True, np.ones(1))
-    base = pts[0]
-    edges = pts[1:] - base  # (m-1, d)
+        return Circumball(base.copy(), np.zeros(lead), np.ones(lead, dtype=bool),
+                          np.ones(lead + (1,)), np.ones(lead, dtype=bool))
+    edges = pts[..., 1:, :] - base[..., None, :]  # (..., m-1, d)
     u_mat, sing, vt = np.linalg.svd(edges, full_matrices=False)
-    if sing[0] <= tol:
-        raise DegenerateGeometryError("points are (nearly) coincident")
-    if sing[-1] <= tol * sing[0]:
-        raise DegenerateGeometryError("points are (nearly) affinely dependent")
-    rhs = 0.5 * np.sum(edges * edges, axis=1)
-    # center = base + c with c in the row space of `edges` and edges @ c = rhs
-    center = base + vt.T @ ((u_mat.T @ rhs) / sing)
-    coeff = ((center - base) @ vt.T / sing) @ u_mat.T
-    radius = float(np.linalg.norm(center - base))
-    bary = np.empty(m)
-    bary[1:] = coeff
-    bary[0] = 1.0 - float(np.sum(coeff))
-    inside = bool(np.all(bary > tol))
-    return Circumball(center, radius, inside, bary)
+    valid = (sing[..., 0] > GEOM_TOL) & (sing[..., -1] > GEOM_TOL * sing[..., 0])
+    sing = np.where(valid[..., None], sing, np.nan)
+    rhs = 0.5 * np.sum(edges * edges, axis=-1)
+    # offset = center - base lies in the row space of `edges`, edges @ offset = rhs
+    proj = np.sum(u_mat * rhs[..., :, None], axis=-2) / sing
+    offset = np.sum(vt * proj[..., :, None], axis=-2)
+    coeff = np.sum(u_mat * (np.sum(vt * offset[..., None, :], axis=-1) / sing)[..., None, :], axis=-1)
+    bary = np.concatenate([1.0 - np.sum(coeff, axis=-1, keepdims=True), coeff], axis=-1)
+    radius = np.sqrt(np.sum(offset * offset, axis=-1))
+    inside = valid & np.all(bary > GEOM_TOL, axis=-1)
+    return Circumball(base + offset, radius, inside, bary, valid)

@@ -107,53 +107,56 @@ class SubsetTracker:
 
     def _init_scan(self) -> None:
         for anchor in sorted(self.config.ids()):
-            pos = self.config.position(anchor)
-            pids = [anchor] + sorted(
-                p for p in self.config.neighbors_within(pos, self.enum_radius)
-                if p > anchor
-            )
-            for members, points, val in self._scored(pids, self.config.positions_array(pids), 0):
-                self._admit(members, points, val)
+            pids = [anchor] + [p for p in self._near(self.config.position(anchor)) if p > anchor]
+            self._admit(*self._scored(pids, self.config.positions_array(pids), 0))
 
-    def _scored(self, pids: list[int], pts: NDArray, must: int) -> list[tuple]:
-        """``(members, points, value)`` of every ``k``-subset of ``pids`` that
-        contains ``pids[must]`` and has a nonzero value, all scored in one
-        ``functional.batch`` call.
+    def _near(self, x: NDArray) -> list[int]:
+        """Ascending ids within the enumeration radius of ``x``; ``k = 1``
+        subsets have no other members, so no query is made for them."""
+        if self.f.k == 1:
+            return []
+        return sorted(self.config.neighbors_within(x, self.enum_radius))
+
+    def _scored(self, pids: list[int], pts: NDArray, must: int) -> tuple[list, NDArray, NDArray]:
+        """``(members, points, values)`` of the ``k``-subsets of ``pids``
+        that contain ``pids[must]`` and have a nonzero value, all scored in
+        one ``functional.batch`` call.
 
         ``pids`` ascends (``pts`` holds their positions), so members reach
         the functional in id order, as in the evaluator.
         """
         k = self.f.k
         if len(pids) < k:
-            return []
+            return [], np.empty((0, k, pts.shape[1])), np.empty(0)
         combos = list(combinations([i for i in range(len(pids)) if i != must], k - 1))
         rows = np.empty((len(combos), k), dtype=np.intp)
         rows[:, :-1] = np.array(combos, dtype=np.intp).reshape(len(combos), k - 1)
         rows[:, -1] = must
         rows.sort(axis=1)
-        subsets = pts[rows]
-        vals = self.f.batch(subsets, self.r, self.config.metric)
-        return [
-            (tuple(pids[i] for i in rows[j]), subsets[j], float(vals[j]))
-            for j in np.nonzero(vals)[0]
-        ]
+        vals = self.f.batch(pts[rows], self.r, self.config.metric)
+        live = np.nonzero(vals)[0]
+        return [tuple(pids[i] for i in rows[j]) for j in live], pts[rows[live]], vals[live]
 
-    def _admit(self, pids: tuple, points: NDArray, val: float) -> None:
-        """Register a subset with nonzero value."""
+    def _admit(self, members: list, points: NDArray, vals: NDArray) -> None:
+        """Register subsets with nonzero values, regions built in one call."""
         if self.nbhd is None:
-            self._sum.add(val)
+            for val in vals.tolist():
+                self._sum.add(val)
             return
-        region = self.nbhd.build(points, self.r, self.config.metric)
-        if region is None:
+        if not members:
             return
-        key = frozenset(pids)
-        vacant = not self._occupied(region, key)
-        self._registry[key] = _RegistryEntry(val, region, vacant)
-        for pid in pids:
-            self._member_keys.setdefault(pid, set()).add(key)
-        self._anchor_grid.insert(key, region.anchor)
-        if vacant:
-            self._sum.add(val)
+        regions = self.nbhd.build(points, self.r, self.config.metric)
+        for pids, val, region in zip(members, vals.tolist(), regions):
+            if region is None:
+                continue
+            key = frozenset(pids)
+            vacant = not self._occupied(region, key)
+            self._registry[key] = _RegistryEntry(val, region, vacant)
+            for pid in pids:
+                self._member_keys.setdefault(pid, set()).add(key)
+            self._anchor_grid.insert(key, region.anchor)
+            if vacant:
+                self._sum.add(val)
 
     def _occupied(self, region, exclude: frozenset, extra_exclude: int = -1) -> bool:
         ids = self.config.neighbors_within(region.anchor, padded_radius(region.query_radius))
@@ -181,18 +184,17 @@ class SubsetTracker:
                 if entry.vacant and entry.region.contains(x):
                     entry.vacant = False
                     self._sum.add(-entry.xi)
-        cands = sorted(self.config.neighbors_within(x, self.enum_radius))
+        cands = self._near(x)
         pts = np.vstack([self.config.positions_array(cands), x[None, :]])
         # the newcomer's id is the largest, so it goes last
-        for members, points, val in self._scored(cands + [pid], pts, len(cands)):
-            self._admit(members, points, val)
+        self._admit(*self._scored(cands + [pid], pts, len(cands)))
 
     def _on_death(self, pid: int) -> None:
         y = self.config.position(pid)
         if self.nbhd is None:
-            ids = sorted(self.config.neighbors_within(y, self.enum_radius))
+            ids = sorted({pid, *self._near(y)})
             pts = self.config.positions_array(ids)
-            for _, _, val in self._scored(ids, pts, ids.index(pid)):
+            for val in self._scored(ids, pts, ids.index(pid))[2].tolist():
                 self._sum.add(-val)
             return
         # exclusive mode: drop subsets containing the point ...
@@ -277,13 +279,12 @@ def evaluate_statistic(
         vacant = degree[members].sum(axis=1) == 2 * inner
         return float(math.fsum(vals[live][vacant]))
     total = []
-    for i in live:
-        members = subsets[i]
-        region = neighborhood.build(positions[members], r, metric)
+    regions = neighborhood.build(positions[subsets[live]], r, metric)
+    for i, region in zip(live, regions):
         if region is None:
             continue
         near = tree.query_ball_point(region.anchor, padded_radius(region.query_radius))
-        others = np.setdiff1d(near, members)
+        others = np.setdiff1d(near, subsets[i])
         if len(others) and bool(np.any(region.contains_many(positions[others]))):
             continue
         total.append(float(vals[i]))

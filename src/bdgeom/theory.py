@@ -356,6 +356,10 @@ def mixture_model(
     )
 
 
+# batch-means groups of the harmonic columns' standard errors
+HARMONIC_GROUPS = 40
+
+
 def _exclusive_harmonics(
     functional: LocalFunctional,
     nbhd: NeighborhoodMap,
@@ -366,7 +370,6 @@ def _exclusive_harmonics(
     budget: int = 20_000,
     vol_samples: int = 10_000,
     seed: int = 0,
-    groups: int = 40,
     cross_exclusion: bool = True,
 ) -> tuple[list[Optional[IntegralEstimate]], list[Optional[IntegralEstimate]]]:
     """Harmonic columns of the time kernel for one shared-point count.
@@ -392,7 +395,7 @@ def _exclusive_harmonics(
     k = functional.k
     if not 0 <= shared <= k:
         raise ValueError("shared must lie in 0..k")
-    budget = max(groups, (budget // groups) * groups)
+    budget = max(HARMONIC_GROUPS, (budget // HARMONIC_GROUPS) * HARMONIC_GROUPS)
     dim = density.dim
     rng = np.random.default_rng(seed)
     reach = nbhd.reach_scale1(functional)
@@ -413,9 +416,10 @@ def _exclusive_harmonics(
         x_weight = qx ** (2 * k - shared - 1)
     signed = np.zeros((budget, max_power + 1))
     absed = np.zeros((budget, max_power + 1))
+    regions_a = nbhd.build(first[hits], 1.0, metric)
+    regions_b = nbhd.build(second[hits], 1.0, metric)
     for row, i in enumerate(hits):
-        region_a = nbhd.build(first[i], 1.0, metric)
-        region_b = nbhd.build(second[i], 1.0, metric)
+        region_a, region_b = regions_a[row], regions_b[row]
         if region_a is None or region_b is None:
             continue
         vol_a, vol_b, vol_ab = pair_volumes(region_a, region_b, vol_samples, rng)
@@ -447,9 +451,9 @@ def _exclusive_harmonics(
     absed *= volume
     out: list[list[Optional[IntegralEstimate]]] = []
     for contrib in (signed, absed):
-        group_means = contrib.reshape(groups, budget // groups, -1).mean(axis=1)
+        group_means = contrib.reshape(HARMONIC_GROUPS, budget // HARMONIC_GROUPS, -1).mean(axis=1)
         means = group_means.mean(axis=0)
-        errs = group_means.std(axis=0, ddof=1) / math.sqrt(groups)
+        errs = group_means.std(axis=0, ddof=1) / math.sqrt(HARMONIC_GROUPS)
         column: list[Optional[IntegralEstimate]] = []
         for power in range(max_power + 1):
             if shared == 0 and power == 0:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import special, stats
 
-from .geometry import DegenerateGeometryError, Metric, circumball
+from .geometry import Metric, circumball
 from .process import Density, SimulationConfig, sample_stationary
 from .statistics import TimeSeries
 
@@ -329,17 +329,10 @@ def euler_characteristic(points: NDArray) -> int:
     sign = 1
     for k in range(1, dim + 1):
         sign = -sign
-        count = 0
-        for combo in combinations(range(m), k + 1):
-            try:
-                ball = circumball(pts[list(combo)])
-            except DegenerateGeometryError:
-                continue
-            if not ball.center_in_simplex:
-                continue
-            dist = np.sqrt(np.sum((pts - ball.center) ** 2, axis=1))
-            dist[list(combo)] = np.inf
-            if np.all(dist >= ball.radius):
-                count += 1
-        chi += sign * count
+        combos = np.array(list(combinations(range(m), k + 1)), dtype=np.intp).reshape(-1, k + 1)
+        ball = circumball(pts[combos])
+        dist = np.sqrt(np.sum((pts[None, :, :] - ball.center[:, None, :]) ** 2, axis=2))
+        np.put_along_axis(dist, combos, np.inf, axis=1)
+        empty = np.all(dist >= ball.radius[:, None], axis=1)
+        chi += sign * int(np.count_nonzero(ball.center_in_simplex & empty))
     return chi

@@ -8,6 +8,7 @@ REMOVED = (
     (theory, "factorial_tail"),
     (theory, "covariance_curve"),
     (geometry, "neighbors_within"),
+    (geometry, "DegenerateGeometryError"),
 )
 
 

@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from bdgeom import cli
 from bdgeom.cli import main
+from bdgeom.functionals import ConfigError
 from bdgeom.suite import worker_count
 
 
@@ -272,6 +274,51 @@ def test_oversized_subgraph_pattern(tmp_path):
     path = ",".join(f"{i}-{i + 1}" for i in range(11))
     cfg = write_config(tmp_path, **{**SIM_FIELDS, "functional": f"subgraph:12:{path}"})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+# -- work limit: absurd sizes only reach the pure checks, never a command -------
+
+
+def test_work_check_rejects_estimates_above_the_limit():
+    cli.check_work("events", cli.MAX_WORK)
+    for amount in (cli.MAX_WORK * 1.01, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            cli.check_work("events", amount)
+    huge = dict(SIM_FIELDS)
+    for key, value in (("n", 1e12), ("horizon", 1e12)):
+        with pytest.raises(ConfigError, match="simulated events"):
+            cli._check_paths({**huge, key: value}, 0, [0.0], 1)
+    with pytest.raises(ConfigError, match="simulated events"):
+        cli._check_paths(huge, 0, [0.0], 10**9)
+    with pytest.raises(ConfigError, match="path samples"):
+        cli._check_paths({**huge, "n": 1e-3}, 0, [0.0] * 10, 10**7)
+    with pytest.raises(ConfigError, match="budget"):
+        cli._check_model({"budget": 1e12})
+    with pytest.raises(ConfigError, match="volume samples"):
+        cli._check_model({"neighborhood": "balls", "vol_samples": 1e12})
+    with pytest.raises(ConfigError, match="harmonic table"):
+        cli._check_model({"neighborhood": "balls", "budget": 10**6, "max_rate": 100})
+    with pytest.raises(ConfigError, match="grid"):
+        cli._time_grid({"start": 0.0, "stop": 1.0, "step": 1e-12}, "sample_times")
+
+
+def test_work_check_accepts_battery_sized_runs():
+    # check 05's size: n = 1000, T = 16, 200 replications on a 0.25 grid
+    cfg = dict(SIM_FIELDS, n=1000, horizon=16.0)
+    cli._check_paths(cfg, 0, cli._time_grid({"start": 0.0, "stop": 16.0, "step": 0.25}, "t"), 200)
+    cli._check_model({})
+    cli._check_model({"neighborhood": "balls"})
+
+
+@pytest.mark.parametrize("command", ["simulate", "covariance", "gaussianity", "theory"])
+def test_commands_check_work_before_running(tmp_path, monkeypatch, command):
+    # a limit below these tiny configs: each command must exit 2 unstarted
+    monkeypatch.setattr(cli, "MAX_WORK", 5)
+    fields = dict(SIM_FIELDS, replications=10, budget=100, lags=[0.0, 0.5])
+    cfg = write_config(tmp_path, **fields)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_bad_jobs(tmp_path):

@@ -169,6 +169,19 @@ def test_morse_works_across_torus_seam():
     assert f(pts, 0.05, T2) == 1.0
 
 
+def test_morse_batch_matches_loop():
+    # the stack mixes valid, degenerate and seam-crossing subsets
+    f = make_morse(2)
+    rng = np.random.default_rng(3)
+    batch = np.mod(rng.random((60, 3, 2)) * 0.2 - 0.1, 1.0)
+    batch[0, 1] = batch[0, 0]
+    batch[1, 2] = 2.0 * batch[1, 1] - batch[1, 0]
+    single = np.array([f(p, 0.1, T2) for p in batch])
+    assert 0.0 < single.mean() < 1.0
+    assert single[0] == single[1] == 0.0
+    assert np.array_equal(f.batch(batch, 0.1, T2), single)
+
+
 def test_morse_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         make_morse(0)
@@ -237,13 +250,29 @@ def test_ball_region_is_open():
 
 def test_circumball_neighborhood_build():
     nbhd = NeighborhoodMap("circumball")
-    region = nbhd.build(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.6, E2)
+    region, coincident = nbhd.build(
+        np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]), 0.6, E2
+    )
     assert isinstance(region, BallRegion)
     assert np.allclose(region.center, [0.5, 0.0])
     assert region.radius == pytest.approx(0.5)
     # degenerate subsets have no region
-    collinear = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert nbhd.build(collinear, 0.6, E2) is None
+    assert coincident is None
+    collinear = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    assert nbhd.build(collinear, 0.6, E2) == [None]
+
+
+def test_circumball_build_on_torus_anchors_each_row():
+    # each row straddles the seam; its region must match a one-row build
+    rng = np.random.default_rng(12)
+    stack = np.mod(rng.random((20, 2, 2)) * 0.1 - 0.05, 1.0)
+    nbhd = NeighborhoodMap("circumball")
+    regions = nbhd.build(stack, 0.1, T2)
+    for row, region in zip(stack, regions):
+        (alone,) = nbhd.build(row[None], 0.1, T2)
+        assert np.array_equal(region.center, alone.center)
+        assert region.radius == alone.radius
+        assert np.allclose(T2.distance_many(region.center, row), region.radius, atol=1e-12)
 
 
 def test_max_reach_bounds():
@@ -297,7 +326,7 @@ def test_validation_flags_scale_violation():
         k=2,
         r_max=1.0,
         xi_sup=10.0,
-        evaluate=lambda pts, r, metric: float(metric.distance(pts[0], pts[1]) <= 0.7),
+        batch=lambda pts, r, metric: (metric.pairwise_batch(pts)[:, 0, 1] <= 0.7).astype(float),
     )
     report = validate_functional(bad, dim=2, trials=500, seed=4)
     assert report.scale_violations > 0
@@ -306,7 +335,7 @@ def test_validation_flags_scale_violation():
 def test_validation_flags_locality_violation():
     bad = LocalFunctional(
         name="bad-local", k=2, r_max=1.0, xi_sup=1.0,
-        evaluate=lambda pts, r, metric: 1.0,
+        batch=lambda pts, r, metric: np.ones(len(pts)),
     )
     report = validate_functional(bad, dim=2, trials=500, seed=5)
     assert report.locality_violations > 0
@@ -315,7 +344,7 @@ def test_validation_flags_locality_violation():
 def test_validation_flags_bound_violation():
     bad = LocalFunctional(
         name="bad-bound", k=1, r_max=1.0, xi_sup=0.5,
-        evaluate=lambda pts, r, metric: 1.0,
+        batch=lambda pts, r, metric: np.ones(len(pts)),
     )
     report = validate_functional(bad, dim=2, trials=100, seed=6)
     assert report.bound_violations > 0

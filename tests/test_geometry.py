@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bdgeom.geometry import (
-    DegenerateGeometryError,
-    GridIndex,
-    Metric,
-    circumball,
-)
+from bdgeom.geometry import GridIndex, Metric, circumball
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +177,37 @@ def test_circumball_single_point():
     assert ball.center_in_simplex
 
 
-def test_circumball_degenerate_raises():
-    with pytest.raises(DegenerateGeometryError):
-        circumball(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(DegenerateGeometryError):
-        circumball(np.array([[0.5, 0.5], [0.5, 0.5]]))
+def test_circumball_degenerate_rows_are_invalid():
+    collinear = circumball(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    assert not collinear.valid and not collinear.center_in_simplex
+    stack = circumball(np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [1.0, 0.0]]]))
+    assert list(stack.valid) == [False, True]
+    assert list(stack.center_in_simplex) == [False, True]
+    assert np.isnan(stack.radius[0]) and stack.radius[1] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_circumball_rows_do_not_depend_on_the_stack(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    stack = rng.random((4096, m, d))
+    stack[1, 1] = stack[1, 0]  # coincident
+    if m == 3:
+        stack[2, 2] = 2.0 * stack[2, 1] - stack[2, 0]  # collinear
+    whole = circumball(stack)
+    assert not whole.valid[1] and not whole.center_in_simplex[1]
+    if m == 3:
+        assert not whole.valid[2] and not whole.center_in_simplex[2]
+    assert np.count_nonzero(~whole.valid) == (2 if m == 3 else 1)
+    fields = ("center", "radius", "center_in_simplex", "barycentric", "valid")
+    square = circumball(stack.reshape(64, 64, m, d))
+    for name in fields:
+        got = getattr(square, name).reshape(getattr(whole, name).shape)
+        assert np.array_equal(got, getattr(whole, name), equal_nan=True), name
+    for i in [0, 1, 2, *rng.choice(len(stack), 40, replace=False)]:
+        for part in (circumball(stack[i : i + 1]), circumball(stack[i])):
+            for name in fields:
+                got = np.asarray(getattr(part, name)).reshape(np.shape(getattr(whole, name)[i]))
+                assert np.array_equal(got, getattr(whole, name)[i], equal_nan=True), (i, name)
 
 
 def test_circumball_too_many_points_rejected():
@@ -200,9 +221,8 @@ def test_circumball_equidistance_property():
         d = int(rng.integers(1, 4))
         m = int(rng.integers(2, d + 2))
         pts = rng.standard_normal((m, d))
-        try:
-            ball = circumball(pts)
-        except DegenerateGeometryError:
+        ball = circumball(pts)
+        if not ball.valid:
             continue
         dists = np.linalg.norm(pts - ball.center, axis=1)
         assert np.allclose(dists, ball.radius, atol=1e-8)

@@ -59,6 +59,21 @@ def test_tracker_singletons():
     assert SubsetTracker(config, make_clique(1), 0.1).value == 3.0
 
 
+def test_singleton_start_up_makes_no_neighbour_queries(monkeypatch):
+    calls = []
+    query = Configuration.neighbors_within
+
+    def counted(self, x, rho):
+        calls.append(rho)
+        return query(self, x, rho)
+
+    monkeypatch.setattr(Configuration, "neighbors_within", counted)
+    pts = np.random.default_rng(4).random((200, 2))
+    tracker = SubsetTracker(Configuration.from_points(pts, TORUS), make_clique(1), 0.05)
+    assert tracker.value == 200.0
+    assert calls == []
+
+
 def test_tracker_exclusive_isolated_points():
     # k = 1 with ball regions counts r-isolated points
     pts = np.array([[0.2, 0.2], [0.25, 0.2], [0.7, 0.7]])
