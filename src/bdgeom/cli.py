@@ -49,6 +49,14 @@ def check_work(what: str, amount: float) -> None:
         raise ConfigError(f"{what} would be about {amount:.3g}, above the limit of {MAX_WORK:.0e}")
 
 
+def _number(value, field: str, kind=float):
+    """A numeric config value as ``kind``, or a ``ConfigError`` naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field {field!r} must be a number, got {value!r}")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -73,46 +81,51 @@ def _resolve_seed(flag_seed: Optional[int], cfg: dict) -> int:
             return int(env)
         except ValueError:
             raise ConfigError(f"BD_GEOM_SEED must be an integer, got {env!r}")
-    return int(cfg.get("seed", 0))
+    return _number(cfg.get("seed", 0), "seed", int)
 
 
 def _time_grid(spec, name: str) -> np.ndarray:
     if isinstance(spec, dict):
         try:
-            start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+            start, stop, step = (_number(spec[key], f"{name}.{key}") for key in ("start", "stop", "step"))
         except KeyError as exc:
             raise ConfigError(f"{name} grid needs start/stop/step, missing {exc}")
         if step <= 0 or stop < start:
             raise ConfigError(f"{name} grid must have step > 0 and stop >= start")
         check_work(f"the {name} grid length", (stop - start) / step + 1.0)
         return np.arange(start, stop + step / 2.0, step)
-    grid = np.asarray(spec, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
+    if not isinstance(spec, list) or not spec:
         raise ConfigError(f"{name} must be a non-empty list of times")
+    grid = np.array([_number(t, name) for t in spec])
     if np.any(np.diff(grid) <= 0):
         raise ConfigError(f"{name} must be strictly increasing")
     return grid
 
 
 def _sim_config(cfg: dict, seed: int) -> SimulationConfig:
-    for key in ("n",):
-        if key not in cfg:
-            raise ConfigError(f"config field {key!r} is required")
-    dim = int(cfg.get("dim", 2))
-    density = density_from_spec(cfg.get("density", "uniform"), dim)
+    if "n" not in cfg:
+        raise ConfigError("config field 'n' is required")
+    dim = _number(cfg.get("dim", 2), "dim", int)
     return SimulationConfig(
-        n=float(cfg["n"]),
+        n=_number(cfg["n"], "n"),
         dim=dim,
-        horizon=float(cfg.get("horizon", 0.0)),
-        density=density,
+        horizon=_number(cfg.get("horizon", 0.0), "horizon"),
+        density=_density(cfg, dim),
         seed=seed,
-        gamma=(float(cfg["gamma"]) if "gamma" in cfg else None),
+        gamma=(_number(cfg["gamma"], "gamma") if "gamma" in cfg else None),
     )
+
+
+def _density(cfg: dict, dim: int):
+    spec = cfg.get("density", "uniform")
+    if isinstance(spec, dict) and "sigma" in spec:
+        spec = {**spec, "sigma": _number(spec["sigma"], "density.sigma")}
+    return density_from_spec(spec, dim)
 
 
 def _radius(cfg: dict, config: SimulationConfig) -> float:
     if "r" in cfg:
-        return float(cfg["r"])
+        return _number(cfg["r"], "r")
     return config.interaction_radius  # gamma-first: r = (gamma / n) ** (1 / d)
 
 
@@ -160,16 +173,6 @@ def _check_paths(cfg: dict, seed: int, times: np.ndarray, reps: int) -> None:
     check_work("path samples", float(len(times)) * reps)
 
 
-def _check_model(cfg: dict) -> None:
-    """The sizes ``_build_model`` reads, with its defaults."""
-    exclusive = cfg.get("neighborhood", "none") != "none"
-    budget = float(cfg.get("budget", 20_000 if exclusive else 200_000))
-    check_work("the model budget", budget)
-    if exclusive:
-        check_work("the volume samples", float(cfg.get("vol_samples", 10_000)))
-        check_work("the harmonic table", budget * (float(cfg.get("max_rate", 20)) + 1.0))
-
-
 def _simulate_paths(cfg: dict, seed: int, times: np.ndarray, reps: int, jobs: int) -> np.ndarray:
     tasks = [(cfg, seed, tuple(times), rep) for rep in range(reps)]
     workers = suite.worker_count(jobs, len(tasks))
@@ -192,8 +195,9 @@ def _paths_rows(times: np.ndarray, matrix: np.ndarray):
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path, jobs: int) -> int:
-    times = _time_grid(cfg.get("sample_times", {"start": 0.0, "stop": cfg.get("horizon", 0.0), "step": 1.0}), "sample_times")
-    reps = int(cfg.get("replications", 1))
+    horizon = _number(cfg.get("horizon", 0.0), "horizon")
+    times = _time_grid(cfg.get("sample_times", {"start": 0.0, "stop": horizon, "step": 1.0}), "sample_times")
+    reps = _number(cfg.get("replications", 1), "replications", int)
     if reps < 1:
         raise ConfigError("replications must be >= 1")
     _check_paths(cfg, seed, times, reps)
@@ -213,37 +217,31 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, jobs: int) -> int:
     return 0
 
 
-def _build_model(cfg: dict, seed: int):
+def _prepare_model(cfg: dict, seed: int):
+    """Read the model config and check its sizes; the returned callable
+    builds the model."""
     functional = from_selector(cfg.get("functional", "clique:2"))
     nbhd = neighborhood_from_selector(cfg.get("neighborhood", "none"))
-    dim = int(cfg.get("dim", 2))
-    density = density_from_spec(cfg.get("density", "uniform"), dim)
-    gamma = float(cfg.get("gamma", 1.0))
+    density = _density(cfg, _number(cfg.get("dim", 2), "dim", int))
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
+    budget = _number(cfg.get("budget", 200_000 if nbhd is None else 20_000), "budget", int)
+    check_work("the model budget", budget)
     if nbhd is None:
-        return mixture_model(
-            functional,
-            density,
-            gamma,
-            budget=int(cfg.get("budget", 200_000)),
-            seed=seed,
-            method=cfg.get("method", "auto"),
-        )
-    return exclusive_mixture_model(
-        functional,
-        nbhd,
-        density,
-        gamma,
-        budget=int(cfg.get("budget", 20_000)),
-        vol_samples=int(cfg.get("vol_samples", 10_000)),
-        max_rate=int(cfg.get("max_rate", 20)),
-        tail_tol=float(cfg.get("tail_tol", 1e-8)),
-        seed=seed,
+        method = cfg.get("method", "auto")
+        return lambda: mixture_model(functional, density, gamma, budget=budget, seed=seed, method=method)
+    vol_samples = _number(cfg.get("vol_samples", 10_000), "vol_samples", int)
+    max_rate = _number(cfg.get("max_rate", 20), "max_rate", int)
+    tail_tol = _number(cfg.get("tail_tol", 1e-8), "tail_tol")
+    check_work("the volume samples", vol_samples)
+    check_work("the harmonic table", budget * (max_rate + 1.0))
+    return lambda: exclusive_mixture_model(
+        functional, nbhd, density, gamma, budget=budget, vol_samples=vol_samples,
+        max_rate=max_rate, tail_tol=tail_tol, seed=seed,
     )
 
 
 def cmd_theory(cfg: dict, seed: int, out: Path, jobs: int) -> int:
-    _check_model(cfg)
-    model = _build_model(cfg, seed)
+    model = _prepare_model(cfg, seed)()
     model.save(str(out / "model.json"))
     _write_json(
         out / "summary.json",
@@ -263,21 +261,21 @@ def cmd_covariance(cfg: dict, seed: int, out: Path, jobs: int) -> int:
     if "horizon" not in cfg:
         raise ConfigError("covariance mode needs a horizon")
     times = _time_grid(
-        cfg.get("sample_times", {"start": 0.0, "stop": float(cfg["horizon"]), "step": 0.25}),
+        cfg.get("sample_times", {"start": 0.0, "stop": _number(cfg["horizon"], "horizon"), "step": 0.25}),
         "sample_times",
     )
     lags = _time_grid(cfg.get("lags", [0.0, 0.5, 1.0, 2.0]), "lags")
     if lags[-1] > times[-1] - times[0]:
         raise ConfigError("lags must fit inside the sample-time span")
-    reps = int(cfg.get("replications", 100))
+    reps = _number(cfg.get("replications", 100), "replications", int)
     if reps < 3:
         raise ConfigError("covariance mode needs replications >= 3")
-    tolerance = float(cfg.get("tolerance", 0.05))
+    tolerance = _number(cfg.get("tolerance", 0.05), "tolerance")
     _check_paths(cfg, seed, times, reps)
-    _check_model(cfg)
+    build_model = _prepare_model(cfg, seed)
     matrix = _simulate_paths(cfg, seed, times, reps, jobs)
     _write_csv(out / "paths.csv", "rep,t,value", _paths_rows(times, matrix))
-    model = _build_model(cfg, seed)
+    model = build_model()
     model.save(str(out / "model.json"))
     est = estimate_covariance((times, matrix), lags)
     theory = model.curve(lags)
@@ -307,10 +305,10 @@ def cmd_covariance(cfg: dict, seed: int, out: Path, jobs: int) -> int:
 
 
 def cmd_gaussianity(cfg: dict, seed: int, out: Path, jobs: int) -> int:
-    reps = int(cfg.get("replications", 500))
+    reps = _number(cfg.get("replications", 500), "replications", int)
     if reps < 10:
         raise ConfigError("gaussianity mode needs replications >= 10")
-    threshold = float(cfg.get("threshold", 0.05))
+    threshold = _number(cfg.get("threshold", 0.05), "threshold")
     config = _sim_config(cfg, seed)
     check_work("sampled points n x replications", config.n * reps)
     functional = from_selector(cfg.get("functional", "clique:2"))
@@ -346,7 +344,7 @@ def cmd_gaussianity(cfg: dict, seed: int, out: Path, jobs: int) -> int:
 
 
 def cmd_oracle(cfg: dict, seed: int, out: Path, jobs: int) -> int:
-    n_seeds = int(cfg.get("seeds", 5))
+    n_seeds = _number(cfg.get("seeds", 5), "seeds", int)
     reports = []
     agreements = []
     for s in range(n_seeds):

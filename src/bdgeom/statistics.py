@@ -4,7 +4,8 @@ The tracked value is ``sum_S f(S, r)`` over all ``k``-point subsets ``S`` of
 the alive configuration (only subsets of diameter ``<= r * r_max`` can
 contribute, so the sum is maintained locally).  With a neighborhood map the
 exclusive variant is tracked instead: each subset contributes only while its
-neighborhood region contains no alive point outside the subset itself.
+neighborhood region contains no alive point outside the subset itself (the
+tracker counts those occupants per subset, up on a birth, down on a death).
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ class TimeSeries:
 class _RegistryEntry:
     xi: float
     region: object
-    vacant: bool
+    occupants: int  # alive non-members inside the region; counts at 0
 
 
 class SubsetTracker:
@@ -150,21 +151,21 @@ class SubsetTracker:
             if region is None:
                 continue
             key = frozenset(pids)
-            vacant = not self._occupied(region, key)
-            self._registry[key] = _RegistryEntry(val, region, vacant)
+            occupants = self._occupants(region, key)
+            self._registry[key] = _RegistryEntry(val, region, occupants)
             for pid in pids:
                 self._member_keys.setdefault(pid, set()).add(key)
             self._anchor_grid.insert(key, region.anchor)
-            if vacant:
+            if occupants == 0:
                 self._sum.add(val)
 
-    def _occupied(self, region, exclude: frozenset, extra_exclude: int = -1) -> bool:
+    def _occupants(self, region, exclude: frozenset) -> int:
+        """Alive points outside ``exclude`` that lie in ``region``."""
         ids = self.config.neighbors_within(region.anchor, padded_radius(region.query_radius))
-        others = [p for p in ids if p not in exclude and p != extra_exclude]
+        others = [p for p in ids if p not in exclude]
         if not others:
-            return False
-        mask = region.contains_many(self.config.positions_array(others))
-        return bool(np.any(mask))
+            return 0
+        return int(np.count_nonzero(region.contains_many(self.config.positions_array(others))))
 
     # -- event updates ------------------------------------------------------
 
@@ -177,13 +178,8 @@ class SubsetTracker:
 
     def _on_birth(self, pid: int, raw_position: NDArray) -> None:
         x = self.config.metric.wrap(np.asarray(raw_position, dtype=float))
-        # existing regions that the newcomer occupies
         if self.nbhd is not None:
-            for key in self._anchor_grid.query(x, padded_radius(self.max_reach)):
-                entry = self._registry[key]
-                if entry.vacant and entry.region.contains(x):
-                    entry.vacant = False
-                    self._sum.add(-entry.xi)
+            self._count_occupant(x, 1)
         cands = self._near(x)
         pts = np.vstack([self.config.positions_array(cands), x[None, :]])
         # the newcomer's id is the largest, so it goes last
@@ -200,22 +196,27 @@ class SubsetTracker:
         # exclusive mode: drop subsets containing the point ...
         for key in list(self._member_keys.get(pid, ())):
             entry = self._registry.pop(key)
-            if entry.vacant:
+            if entry.occupants == 0:
                 self._sum.add(-entry.xi)
             self._anchor_grid.remove(key)
             for member in key:
-                keys = self._member_keys.get(member)
-                if keys is not None:
-                    keys.discard(key)
-                    if not keys:
-                        del self._member_keys[member]
-        # ... then re-derive vacancy where the point may have been the occupant
+                keys = self._member_keys[member]
+                keys.remove(key)
+                if not keys:
+                    del self._member_keys[member]
+        # ... then every region the point occupied loses one occupant
+        self._count_occupant(y, -1)
+
+    def _count_occupant(self, y: NDArray, step: int) -> None:
+        """Add ``step`` (``1`` for a birth, ``-1`` for a death at ``y``) to
+        the occupants of each region containing ``y``; a subset leaves the
+        sum as its count goes 0 -> 1 and returns as it goes 1 -> 0."""
         for key in self._anchor_grid.query(y, padded_radius(self.max_reach)):
             entry = self._registry[key]
-            if not entry.vacant and entry.region.contains(y):
-                if not self._occupied(entry.region, key, extra_exclude=pid):
-                    entry.vacant = True
-                    self._sum.add(entry.xi)
+            if entry.region.contains(y):
+                entry.occupants += step
+                if entry.occupants == max(step, 0):
+                    self._sum.add(-step * entry.xi)
 
 
 def evaluate_statistic(

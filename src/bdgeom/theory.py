@@ -611,7 +611,6 @@ def _certified_tail(
 def simulate_ou_superposition(
     model: CovarianceModel,
     times: Sequence[float],
-    rng: Optional[np.random.Generator] = None,
     seed: int = 0,
     n_paths: int = 1,
 ) -> NDArray:
@@ -622,8 +621,7 @@ def simulate_ou_superposition(
     h)) Z``, combined with amplitudes ``sqrt(weight)``.  Returns an array
     of shape ``(n_paths, len(times))``.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")

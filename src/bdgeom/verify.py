@@ -27,6 +27,8 @@ from .statistics import TimeSeries
 # ---------------------------------------------------------------------------
 # ensemble covariance
 
+TIME_TOL = 1e-9  # grid times closer than this are the same time
+
 
 @dataclass
 class CovarianceEstimate:
@@ -37,9 +39,7 @@ class CovarianceEstimate:
 
 
 def estimate_covariance(
-    paths: Sequence[TimeSeries] | tuple[NDArray, NDArray],
-    lags: Sequence[float],
-    time_tol: float = 1e-9,
+    paths: Sequence[TimeSeries] | tuple[NDArray, NDArray], lags: Sequence[float]
 ) -> CovarianceEstimate:
     """Normalized ensemble autocovariance of stationary paths.
 
@@ -49,7 +49,7 @@ def estimate_covariance(
     the value at lag 0 is exactly 1).  Confidence intervals come from the
     replication-to-replication scatter of the pooled products via the
     delta method for the ratio, which correctly shrinks to zero width at
-    lag 0.
+    lag 0.  Grid times match within ``TIME_TOL``.
     """
     if isinstance(paths, tuple):
         times, matrix = paths
@@ -58,7 +58,7 @@ def estimate_covariance(
     else:
         times = np.asarray(paths[0].times, dtype=float)
         for p in paths:
-            if len(p.times) != len(times) or np.any(np.abs(p.times - times) > time_tol):
+            if len(p.times) != len(times) or np.any(np.abs(p.times - times) > TIME_TOL):
                 raise ValueError("all paths must share one time grid")
         matrix = np.vstack([p.values for p in paths])
     n_paths, n_times = matrix.shape
@@ -68,8 +68,8 @@ def estimate_covariance(
 
     def pooled_products(lag: float) -> NDArray:
         targets = times + lag
-        j = np.searchsorted(times, targets - time_tol)
-        valid = (j < n_times) & (np.abs(times[np.minimum(j, n_times - 1)] - targets) <= time_tol)
+        j = np.searchsorted(times, targets - TIME_TOL)
+        valid = (j < n_times) & (np.abs(times[np.minimum(j, n_times - 1)] - targets) <= TIME_TOL)
         ii = np.nonzero(valid)[0]
         jj = j[valid]
         if len(ii) == 0:
@@ -101,6 +101,8 @@ def estimate_covariance(
 # ---------------------------------------------------------------------------
 # distribution distances
 
+MIN_EXPECTED = 5.0  # smallest expected count of a merged chi-square bin
+
 
 def kolmogorov_distance(sample: NDArray) -> float:
     """Sup distance between the sample's empirical CDF and the standard
@@ -115,13 +117,11 @@ def kolmogorov_distance(sample: NDArray) -> float:
     return float(max(upper, lower))
 
 
-def poisson_chi_square(
-    counts: NDArray, mean: float, min_expected: float = 5.0
-) -> tuple[float, float]:
+def poisson_chi_square(counts: NDArray, mean: float) -> tuple[float, float]:
     """Chi-square goodness-of-fit of integer counts against Poisson(mean).
 
     Adjacent integer cells (including both infinite tails) are merged until
-    each expected count reaches ``min_expected``.  Returns (statistic, p).
+    each expected count reaches ``MIN_EXPECTED``.  Returns (statistic, p).
     """
     counts = np.asarray(counts, dtype=int)
     n = len(counts)
@@ -129,7 +129,7 @@ def poisson_chi_square(
     pmf = stats.poisson.pmf(np.arange(hi + 1), mean)
     pmf[-1] = 1.0 - pmf[:-1].sum()  # absorb the upper tail
     observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)
-    # greedy merge from the left so each bin expects >= min_expected
+    # greedy merge from the left so each bin expects >= MIN_EXPECTED
     bins_obs: list[float] = []
     bins_exp: list[float] = []
     acc_o = 0.0
@@ -137,7 +137,7 @@ def poisson_chi_square(
     for value in range(hi + 1):
         acc_o += observed[value]
         acc_e += n * pmf[value]
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             bins_obs.append(acc_o)
             bins_exp.append(acc_e)
             acc_o = 0.0

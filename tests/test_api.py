@@ -1,6 +1,8 @@
 """The package's public names."""
+import inspect
+
 import bdgeom
-from bdgeom import geometry, theory
+from bdgeom import geometry, theory, verify
 
 REMOVED = (
     (theory, "vacancy_rate_integral_batch"),
@@ -9,6 +11,12 @@ REMOVED = (
     (theory, "covariance_curve"),
     (geometry, "neighbors_within"),
     (geometry, "DegenerateGeometryError"),
+)
+# parameters that had one value everywhere and became constants
+REMOVED_PARAMETERS = (
+    (verify.estimate_covariance, "time_tol"),
+    (verify.poisson_chi_square, "min_expected"),
+    (theory.simulate_ou_superposition, "rng"),
 )
 
 
@@ -19,3 +27,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
     for module, name in REMOVED:
         assert not hasattr(module, name), name
         assert not hasattr(bdgeom, name) and name not in bdgeom.__all__, name
+
+
+def test_removed_parameters_are_gone():
+    for function, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(function).parameters, (function.__name__, name)

@@ -293,11 +293,11 @@ def test_work_check_rejects_estimates_above_the_limit():
     with pytest.raises(ConfigError, match="path samples"):
         cli._check_paths({**huge, "n": 1e-3}, 0, [0.0] * 10, 10**7)
     with pytest.raises(ConfigError, match="budget"):
-        cli._check_model({"budget": 1e12})
+        cli._prepare_model({"budget": 1e12}, 0)
     with pytest.raises(ConfigError, match="volume samples"):
-        cli._check_model({"neighborhood": "balls", "vol_samples": 1e12})
+        cli._prepare_model({"neighborhood": "balls", "vol_samples": 1e12}, 0)
     with pytest.raises(ConfigError, match="harmonic table"):
-        cli._check_model({"neighborhood": "balls", "budget": 10**6, "max_rate": 100})
+        cli._prepare_model({"neighborhood": "balls", "budget": 10**6, "max_rate": 100}, 0)
     with pytest.raises(ConfigError, match="grid"):
         cli._time_grid({"start": 0.0, "stop": 1.0, "step": 1e-12}, "sample_times")
 
@@ -306,8 +306,8 @@ def test_work_check_accepts_battery_sized_runs():
     # check 05's size: n = 1000, T = 16, 200 replications on a 0.25 grid
     cfg = dict(SIM_FIELDS, n=1000, horizon=16.0)
     cli._check_paths(cfg, 0, cli._time_grid({"start": 0.0, "stop": 16.0, "step": 0.25}, "t"), 200)
-    cli._check_model({})
-    cli._check_model({"neighborhood": "balls"})
+    cli._prepare_model({}, 0)
+    cli._prepare_model({"neighborhood": "balls"}, 0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "covariance", "gaussianity", "theory"])
@@ -319,6 +319,41 @@ def test_commands_check_work_before_running(tmp_path, monkeypatch, command):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "summary.json").exists()
+
+
+# every numeric field, by command; the base configs pass each earlier check
+NUMERIC_FIELDS = {
+    "simulate": ("n", "dim", "horizon", "gamma", "r", "replications", "seed",
+                 "density.sigma", "sample_times.step", "sample_times"),
+    "theory": ("dim", "gamma", "budget", "vol_samples", "max_rate", "tail_tol"),
+    "covariance": ("horizon", "lags", "replications", "tolerance"),
+    "gaussianity": ("replications", "threshold"),
+    "oracle": ("seeds",),
+}
+BASES = {
+    "theory": {"neighborhood": "balls"},
+    "covariance": {"replications": 3, "lags": [0.0, 0.5]},
+    "gaussianity": {"replications": 10},
+}
+
+
+@pytest.mark.parametrize("bad", ["x", [1]], ids=["string", "list"])
+@pytest.mark.parametrize(
+    "command, field", [(c, f) for c, fields in NUMERIC_FIELDS.items() for f in fields]
+)
+def test_non_numeric_field_exits_2(tmp_path, capsys, command, field, bad):
+    fields = dict(SIM_FIELDS, **BASES.get(command, {}))
+    if field in ("lags", "sample_times"):
+        fields[field] = [0.0, bad]
+    elif field == "density.sigma":
+        fields["density"] = {"kind": "gaussian", "sigma": bad}
+    elif field == "sample_times.step":
+        fields["sample_times"] = dict(SIM_FIELDS["sample_times"], step=bad)
+    else:
+        fields[field] = bad
+    cfg = write_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config field '{field}' must be a number" in capsys.readouterr().err
 
 
 def test_bad_jobs(tmp_path):

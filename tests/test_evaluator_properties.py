@@ -128,5 +128,16 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
         for tracker in trackers:
             tracker.apply_event(event)
         config.apply_event(event)
-    for tracker, (f, nb) in zip(trackers, PAIRS):
-        assert tracker.value == evaluate_statistic(config, f, r, nb), (metric.kind, f.name, nb)
+        for tracker, (f, nb) in zip(trackers, PAIRS):
+            assert tracker.value == evaluate_statistic(config, f, r, nb), (metric.kind, f.name, nb, step)
+            assert_occupant_counts(tracker, config)
+
+
+def assert_occupant_counts(tracker, config):
+    """Each registry entry holds the brute-force count of alive non-members
+    inside its region."""
+    alive = config.ids()
+    for key, entry in tracker._registry.items():
+        others = [p for p in alive if p not in key]
+        inside = entry.region.contains_many(config.positions_array(others)) if others else []
+        assert entry.occupants == np.count_nonzero(inside), sorted(key)

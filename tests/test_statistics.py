@@ -147,6 +147,37 @@ def test_exclusive_flip_sequence():
     assert tracker.value == 0.0
     assert tracker.registry_size == 3
 
+    # a second intruder: the far pair's region holds two occupants, stays
+    # excluded after the first of them dies and counts after the second
+    far = tracker._registry[frozenset({0, 1})]
+    ev = birth(config.next_id, [0.05, 0.05], time=0.7)
+    tracker.apply_event(ev)
+    config.apply_event(ev)
+    assert (tracker.value, tracker.registry_size, far.occupants) == (0.0, 6, 2)
+    for pid, time, value, size in ((3, 0.8, 0.0, 3), (4, 0.9, 1.0, 1)):
+        ev = death(pid, config.position(pid), time=time)
+        tracker.apply_event(ev)
+        config.apply_event(ev)
+        assert (tracker.value, tracker.registry_size) == (value, size)
+    assert far.occupants == 0
+
+
+def test_exclusive_death_makes_no_neighbour_queries(monkeypatch):
+    pts = np.array([[0.0, 0.0], [0.08, 0.0], [0.05, 0.05]])
+    config = Configuration.from_points(pts, PLANE)
+    tracker = SubsetTracker(config, make_clique(2), 0.1, NeighborhoodMap("balls"))
+    calls = []
+    query = Configuration.neighbors_within
+
+    def counted(self, x, rho):
+        calls.append(rho)
+        return query(self, x, rho)
+
+    monkeypatch.setattr(Configuration, "neighbors_within", counted)
+    tracker.apply_event(death(2, pts[2], time=0.3))
+    assert tracker.value == 1.0
+    assert calls == []
+
 
 def test_exclusive_registry_empties_with_population():
     pts = np.array([[0.5, 0.5], [0.54, 0.5], [0.52, 0.53], [0.48, 0.52]])
