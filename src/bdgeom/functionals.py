@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import GEOM_TOL, Metric, circumball
+from .geometry import GEOM_TOL, Metric, circumball, unit_ball_volume
 
 
 class ConfigError(ValueError):
@@ -161,6 +161,8 @@ def from_selector(selector: str) -> LocalFunctional:
 
     Formats: ``clique:k``, ``subgraph:k:a-b,c-d,...``, ``morse:k``.
     """
+    if not isinstance(selector, str):
+        raise ConfigError(f"config field 'functional' must be a selector string, got {selector!r}")
     parts = selector.split(":")
     kind = parts[0]
     try:
@@ -207,10 +209,6 @@ class BallUnionRegion:
             out |= self.metric.distance_many(p, ys) <= self.r
         return out
 
-    def bounding_box(self) -> tuple[NDArray, NDArray]:
-        pts = self.metric.unwrap(self.points)
-        return pts.min(axis=0) - self.r, pts.max(axis=0) + self.r
-
 
 class BallRegion:
     """Single open ball (used for circumball neighborhoods)."""
@@ -230,9 +228,6 @@ class BallRegion:
     def contains_many(self, ys: NDArray) -> NDArray:
         return self.metric.distance_many(self.center, np.asarray(ys, dtype=float)) < self.radius
 
-    def bounding_box(self) -> tuple[NDArray, NDArray]:
-        return self.center - self.radius, self.center + self.radius
-
 
 @dataclass(frozen=True)
 class NeighborhoodMap:
@@ -251,6 +246,25 @@ class NeighborhoodMap:
             BallRegion(center, radius, metric) if ok else None
             for center, radius, ok in zip(ball.center, ball.radius, ball.valid)
         ]
+
+    def balls(self, points: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+        """The regions of a ``(B, k, d)`` euclidean stack at ``r = 1`` as
+        balls: centres ``(B, m, d)``, radii ``(B, m)`` and a ``(B,)`` mask
+        that is False where the circumball is degenerate."""
+        if self.kind == "balls":
+            return points, np.ones(points.shape[:2]), np.ones(len(points), dtype=bool)
+        ball = circumball(points)
+        return ball.center[:, None], ball.radius[:, None], ball.valid
+
+    def count_inside(self, centers: NDArray, radii: NDArray, ys: NDArray) -> NDArray:
+        """How many of each row's points ``ys`` ``(B, n, d)`` lie in its
+        region from ``balls``: closed balls for ``balls``, an open ball for
+        ``circumball``, the rules of ``contains_many``."""
+        delta = ys[:, :, None, :] - centers[:, None, :, :]
+        dist = np.sqrt(np.sum(delta * delta, axis=-1))
+        limit = radii[:, None, :]
+        inside = dist <= limit if self.kind == "balls" else dist < limit
+        return np.count_nonzero(inside.any(axis=2), axis=1)
 
     def max_reach(self, functional: LocalFunctional, r: float) -> float:
         """Upper bound on ``query_radius`` over subsets with ``f > 0``."""
@@ -285,24 +299,130 @@ def neighborhood_from_selector(selector: str) -> Optional[NeighborhoodMap]:
 
 
 def pair_volumes(
-    region_a, region_b, samples: int, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Hit-or-miss volumes (vol A, vol B, vol A intersect B) from one shared
-    uniform sample over a box covering both regions."""
-    lo_a, hi_a = region_a.bounding_box()
-    lo_b, hi_b = region_b.bounding_box()
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    box_vol = float(np.prod(hi - lo))
-    pts = lo + (hi - lo) * rng.random((samples, len(lo)))
-    in_a = region_a.contains_many(pts)
-    in_b = region_b.contains_many(pts)
-    scale = box_vol / samples
-    return (
-        float(np.count_nonzero(in_a)) * scale,
-        float(np.count_nonzero(in_b)) * scale,
-        float(np.count_nonzero(in_a & in_b)) * scale,
+    centers_a: NDArray,
+    radii_a: NDArray,
+    centers_b: NDArray,
+    radii_b: NDArray,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Volumes ``vol A``, ``vol B`` and ``vol(A & B)`` of a stack of region
+    pairs, each region a union of balls: centres ``(H, m, d)`` and radii
+    ``(H, m)``, as from ``NeighborhoodMap.balls``.
+
+    Exact where a closed form exists: two single balls in any ``d`` (two
+    hyperspherical caps), and unions in ``d = 1`` (intervals) and ``d = 2``
+    (discs, by the boundary-arc method) with ``vol(A & B) = vol A + vol B -
+    vol(A | B)``.  Unions of balls in ``d >= 3`` are estimated by hit-or-miss
+    from ``samples`` uniform points per pair over a box covering both.
+    """
+    dim = centers_a.shape[-1]
+    if centers_a.shape[1] == centers_b.shape[1] == 1:
+        ra, rb = radii_a[:, 0], radii_b[:, 0]
+        delta = centers_b[:, 0] - centers_a[:, 0]
+        gap = np.sqrt(np.sum(delta * delta, axis=-1))
+        vball = unit_ball_volume(dim)
+        return vball * ra**dim, vball * rb**dim, _lens_volume(ra, rb, gap, dim)
+    if dim > 2:
+        return _hit_or_miss(centers_a, radii_a, centers_b, radii_b, samples, rng)
+    union = _union_length if dim == 1 else _union_area
+    vol_a = union(centers_a, radii_a)
+    vol_b = union(centers_b, radii_b)
+    vol_ab = vol_a + vol_b - union(
+        np.concatenate([centers_a, centers_b], axis=1), np.concatenate([radii_a, radii_b], axis=1)
     )
+    return vol_a, vol_b, np.maximum(vol_ab, 0.0)
+
+
+def _cap_volume(radius: NDArray, offset: NDArray, dim: int) -> NDArray:
+    """Volume of the part of a ``dim``-ball beyond a hyperplane at signed
+    distance ``offset`` from its centre: ``V_(d-1) rho**d S_d(phi)`` with
+    ``cos(phi) = offset / rho`` and ``S_d(phi) = int_0^phi sin(t)**d dt``."""
+    phi = np.arccos(np.clip(offset / radius, -1.0, 1.0))
+    sin, cos = np.sin(phi), np.cos(phi)
+    lower, upper = phi, 1.0 - cos  # S_0, S_1
+    for n in range(2, dim + 1):
+        lower, upper = upper, -(sin ** (n - 1)) * cos / n + (n - 1) / n * lower
+    return unit_ball_volume(dim - 1) * radius**dim * upper
+
+
+def _lens_volume(ra: NDArray, rb: NDArray, gap: NDArray, dim: int) -> NDArray:
+    """Intersection volume of two balls with centres ``gap`` apart: the caps
+    of each beyond their radical hyperplane (clipping covers disjoint and
+    nested balls)."""
+    safe = np.where(gap > 0.0, gap, 1.0)
+    offset = (safe * safe + ra * ra - rb * rb) / (2.0 * safe)
+    caps = _cap_volume(ra, offset, dim) + _cap_volume(rb, safe - offset, dim)
+    return np.where(gap > 0.0, caps, unit_ball_volume(dim) * np.minimum(ra, rb) ** dim)
+
+
+def _union_length(centers: NDArray, radii: NDArray) -> NDArray:
+    """Lengths of unions of intervals, swept in order of their left ends."""
+    order = np.argsort(centers[..., 0] - radii, axis=1)
+    mid = np.take_along_axis(centers[..., 0], order, axis=1)
+    half = np.take_along_axis(radii, order, axis=1)
+    lo, hi = mid - half, mid + half
+    reach = np.maximum.accumulate(hi, axis=1)
+    before = np.concatenate([np.full((len(lo), 1), -np.inf), reach[:, :-1]], axis=1)
+    return np.sum(np.maximum(hi - np.maximum(lo, before), 0.0), axis=1)
+
+
+def _union_area(centers: NDArray, radii: NDArray) -> NDArray:
+    """Areas of unions of discs by the boundary-arc method (Edelsbrunner
+    1995; Cazals et al. 2011): Green's theorem ``area = 1/2 * closed integral
+    of (x dy - y dx)`` over the arcs of each circle that no other disc
+    covers, taken counter-clockwise."""
+    m = centers.shape[1]
+    delta = centers[:, None, :, :] - centers[:, :, None, :]  # [h, i, j] = c_j - c_i
+    gap = np.sqrt(np.sum(delta * delta, axis=-1))
+    ri, rj = radii[:, :, None], radii[:, None, :]
+    # disc i lies inside disc j; of identical discs only the first is kept
+    later = np.arange(m)[None, :] >= np.arange(m)[:, None]
+    inside = (gap + ri <= rj) & ~((gap == 0.0) & (ri == rj) & later)
+    crossing = (gap < ri + rj) & (gap > np.abs(ri - rj))
+    cos_half = (gap * gap + ri * ri - rj * rj) / (2.0 * np.where(crossing, gap * ri, 1.0))
+    # disc j covers the arc [start, start + 2 half] of circle i
+    half = np.where(crossing, np.arccos(np.clip(cos_half, -1.0, 1.0)), 0.0)
+    start = np.mod(np.arctan2(delta[..., 1], delta[..., 0]) - half, 2.0 * np.pi)
+    ends = np.mod(start + 2.0 * half, 2.0 * np.pi)
+    zero = np.zeros(start.shape[:2] + (1,))
+    cuts = np.sort(np.concatenate([zero, start, ends, zero + 2.0 * np.pi], axis=2), axis=2)
+    mid = 0.5 * (cuts[..., :-1] + cuts[..., 1:])
+    covered = np.zeros(mid.shape, dtype=bool)
+    for j in range(m):  # one disc at a time keeps the arrays at (H, m, 2m + 1)
+        into = np.mod(mid - start[..., j, None], 2.0 * np.pi)
+        covered |= (into < 2.0 * half[..., j, None]) | inside[..., j, None]
+    cx, cy, rho = centers[..., 0, None], centers[..., 1, None], radii[..., None]
+    arcs = rho * rho * np.diff(cuts, axis=2) + rho * (
+        cx * np.diff(np.sin(cuts), axis=2) - cy * np.diff(np.cos(cuts), axis=2)
+    )
+    return 0.5 * np.sum(np.where(covered, 0.0, arcs), axis=(1, 2))
+
+
+# points x balls x coordinates held at once by one hit-or-miss block
+HIT_OR_MISS_BLOCK = 2**21
+
+
+def _hit_or_miss(centers_a, radii_a, centers_b, radii_b, samples, rng):
+    """Hit-or-miss volumes from one shared uniform sample per pair over a
+    box covering both regions, in blocks of rows of bounded size."""
+    centers = np.concatenate([centers_a, centers_b], axis=1)
+    radii = np.concatenate([radii_a, radii_b], axis=1)
+    lo = np.min(centers - radii[..., None], axis=1)
+    hi = np.max(centers + radii[..., None], axis=1)
+    split = centers_a.shape[1]
+    counts = np.zeros((len(centers), 3))
+    rows = max(1, HIT_OR_MISS_BLOCK // (samples * centers.shape[1] * centers.shape[2]))
+    for first in range(0, len(centers), rows):
+        block = slice(first, first + rows)
+        pts = lo[block, None] + (hi - lo)[block, None] * rng.random(
+            (len(lo[block]), samples, lo.shape[1])
+        )
+        delta = pts[:, :, None, :] - centers[block, None, :, :]
+        inside = np.sum(delta * delta, axis=-1) <= radii[block, None, :] ** 2
+        in_a, in_b = inside[..., :split].any(axis=-1), inside[..., split:].any(axis=-1)
+        counts[block] = np.stack([in_a, in_b, in_a & in_b], axis=-1).sum(axis=1)
+    return tuple(counts.T * (np.prod(hi - lo, axis=1) / samples))
 
 
 # ---------------------------------------------------------------------------

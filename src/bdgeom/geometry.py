@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Literal
 
@@ -19,6 +20,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 GEOM_TOL = 1e-9
+
+
+def unit_ball_volume(dim: int) -> float:
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def padded_radius(rho: float) -> float:
@@ -135,10 +140,6 @@ class GridIndex:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._positions
-
-    @property
-    def cell_edge(self) -> float:
-        return self._edge
 
     def ids(self) -> Iterable[Hashable]:
         return self._positions.keys()

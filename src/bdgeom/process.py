@@ -115,13 +115,20 @@ def density_from_spec(spec: dict | str, dim: int) -> Density:
     ``{"kind": "gaussian", "sigma": s}`` or ``{"kind": "table", "cells": [...]}``."""
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config field 'density' must be a string or an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "uniform":
         return Density("uniform", dim)
     if kind == "gaussian":
         return Density("gaussian", dim, sigma=float(spec.get("sigma", 1.0)))
     if kind == "table":
-        return Density("table", dim, table=np.asarray(spec["cells"], dtype=float))
+        try:
+            cells = np.asarray(spec["cells"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            cells = spec.get("cells")
+            raise ConfigError(f"config field 'density.cells' must be an array of numbers, got {cells!r}")
+        return Density("table", dim, table=cells)
     raise ConfigError(f"unknown density kind {kind!r}")
 
 

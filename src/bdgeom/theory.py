@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .functionals import ConfigError, LocalFunctional, NeighborhoodMap, pair_volumes
-from .geometry import Metric
+from .geometry import Metric, unit_ball_volume
 from .process import Density
 
 
@@ -41,10 +41,6 @@ class IntegralEstimate:
     std_error: float
     method: str  # "closed-form" | "monte-carlo"
     samples: int = 0
-
-
-def unit_ball_volume(dim: int) -> float:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> NDArray:
@@ -265,6 +261,8 @@ class CovarianceModel:
     rates: list[int]
     weights: NDArray
     weight_errors: NDArray
+    # certified tail / retained mass of an exclusive build; None when plain
+    tail_ratio: Optional[float] = None
 
     def curve(self, deltas) -> NDArray:
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
@@ -283,6 +281,7 @@ class CovarianceModel:
             "rates": [int(r) for r in self.rates],
             "weights": [float(w) for w in self.weights],
             "weight_errors": [float(e) for e in self.weight_errors],
+            "tail_ratio": self.tail_ratio,
         }
 
     @classmethod
@@ -295,6 +294,7 @@ class CovarianceModel:
             rates=[int(r) for r in data["rates"]],
             weights=np.asarray(data["weights"], dtype=float),
             weight_errors=np.asarray(data["weight_errors"], dtype=float),
+            tail_ratio=data.get("tail_ratio"),
         )
 
     def save(self, path: str) -> None:
@@ -414,46 +414,40 @@ def _exclusive_harmonics(
         qx = density.pdf_many(x)
         # x is importance-sampled from q, so one density factor cancels
         x_weight = qx ** (2 * k - shared - 1)
+    centers_a, radii_a, valid_a = nbhd.balls(first[hits])
+    centers_b, radii_b, valid_b = nbhd.balls(second[hits])
+    keep = valid_a & valid_b  # a degenerate circumball has no region
+    hits, qx, x_weight = hits[keep], qx[keep], x_weight[keep]
+    centers_a, radii_a = centers_a[keep], radii_a[keep]
+    centers_b, radii_b = centers_b[keep], radii_b[keep]
+    vol_a, vol_b, vol_ab = pair_volumes(centers_a, radii_a, centers_b, radii_b, vol_samples, rng)
+    base = vals[hits] * x_weight * np.exp(-gamma * qx * (vol_a + vol_b)) * volume
+    a = gamma * qx * vol_ab
+    # coefficients a**p / p! of exp(a * s), via the stable running product
+    exp_coef = np.cumprod(
+        np.column_stack([np.ones(len(hits)), a[:, None] / np.arange(1.0, max_power + 1.0)]), axis=1
+    )
+    if cross_exclusion:
+        intruders = nbhd.count_inside(centers_a, radii_a, second[hits, shared:])
+        intruders += nbhd.count_inside(centers_b, radii_b, first[hits, : k - shared])
+    else:
+        intruders = np.zeros(len(hits), dtype=int)
+    # times (1 - s)**W and (1 + s)**W: coef is base * C(W, w), zero for w > W
     signed = np.zeros((budget, max_power + 1))
     absed = np.zeros((budget, max_power + 1))
-    regions_a = nbhd.build(first[hits], 1.0, metric)
-    regions_b = nbhd.build(second[hits], 1.0, metric)
-    for row, i in enumerate(hits):
-        region_a, region_b = regions_a[row], regions_b[row]
-        if region_a is None or region_b is None:
-            continue
-        vol_a, vol_b, vol_ab = pair_volumes(region_a, region_b, vol_samples, rng)
-        base = vals[i] * x_weight[row] * math.exp(-gamma * qx[row] * (vol_a + vol_b))
-        a = gamma * qx[row] * vol_ab
-        # coefficients a**m / m! of exp(a * s), via the stable running product
-        exp_coef = np.cumprod(np.concatenate([[1.0], a / np.arange(1.0, max_power + 1.0)]))
-        if cross_exclusion:
-            intruders = 0
-            fresh_second = second[i, shared:]
-            if len(fresh_second):
-                intruders += int(np.count_nonzero(region_a.contains_many(fresh_second)))
-            fresh_first = first[i, : k - shared]
-            if len(fresh_first):
-                intruders += int(np.count_nonzero(region_b.contains_many(fresh_first)))
-        else:
-            intruders = 0
-        if intruders == 0:
-            signed[i] = base * exp_coef
-            absed[i] = base * exp_coef
-            continue
-        binom = np.array(
-            [math.comb(intruders, w) for w in range(min(intruders, max_power) + 1)]
-        )
-        alt = binom * (-1.0) ** np.arange(len(binom))
-        signed[i] = base * np.convolve(exp_coef, alt)[: max_power + 1]
-        absed[i] = base * np.convolve(exp_coef, binom)[: max_power + 1]
-    signed *= volume
-    absed *= volume
+    coef = base
+    for w in range(min(int(intruders.max(initial=0)), max_power) + 1):
+        if w:
+            coef = coef * (intruders - w + 1) / w
+        term = coef[:, None] * exp_coef[:, : max_power + 1 - w]
+        signed[hits, w:] += (-1.0) ** w * term
+        absed[hits, w:] += term
     out: list[list[Optional[IntegralEstimate]]] = []
     for contrib in (signed, absed):
         group_means = contrib.reshape(HARMONIC_GROUPS, budget // HARMONIC_GROUPS, -1).mean(axis=1)
         means = group_means.mean(axis=0)
-        errs = group_means.std(axis=0, ddof=1) / math.sqrt(HARMONIC_GROUPS)
+        # shifted by one group, so a column equal in every group reads exactly 0
+        errs = (group_means - group_means[0]).std(axis=0, ddof=1) / math.sqrt(HARMONIC_GROUPS)
         column: list[Optional[IntegralEstimate]] = []
         for power in range(max_power + 1):
             if shared == 0 and power == 0:
@@ -553,6 +547,7 @@ def exclusive_mixture_model(
         rates=list(range(1, max_rate + 1)),
         weights=weights,
         weight_errors=errs,
+        tail_ratio=tail / retained,
     )
 
 

@@ -20,6 +20,40 @@ def lens_area(t: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(half) - half * np.sqrt(np.maximum(4.0 - t * t, 0.0))
 
 
+def disk_lens_area(big: float, small: float, gap: float) -> float:
+    """Area of the intersection of two disks of radii ``big >= small`` with
+    centers ``gap`` apart (the two-radius lens formula)."""
+    if gap >= big + small:
+        return 0.0
+    if gap <= big - small:
+        return math.pi * small * small
+    kite = math.sqrt(
+        (-gap + big + small) * (gap + big - small) * (gap - big + small) * (gap + big + small)
+    )
+    return (
+        big * big * math.acos((gap * gap + big * big - small * small) / (2.0 * gap * big))
+        + small * small * math.acos((gap * gap + small * small - big * big) / (2.0 * gap * small))
+        - 0.5 * kite
+    )
+
+
+def ball_lens_volume(t: float) -> float:
+    """Volume of the intersection of two unit balls in R^3 with centers
+    ``t <= 2`` apart: ``pi (4 + t) (2 - t)**2 / 12``."""
+    return math.pi * (4.0 + t) * (2.0 - t) ** 2 / 12.0
+
+
+def interval_union_length(intervals) -> float:
+    """Length of a union of closed intervals ``(lo, hi)``, merged in order."""
+    total = 0.0
+    end = -math.inf
+    for lo, hi in sorted(intervals):
+        if hi > end:
+            total += hi - max(lo, end)
+            end = hi
+    return total
+
+
 def triple_disk_area(centers: np.ndarray, xpoints: int = 1024) -> float:
     """Area of the intersection of three unit disks by height integration.
 

@@ -2,7 +2,7 @@
 import inspect
 
 import bdgeom
-from bdgeom import geometry, theory, verify
+from bdgeom import functionals, geometry, theory, verify
 
 REMOVED = (
     (theory, "vacancy_rate_integral_batch"),
@@ -11,6 +11,9 @@ REMOVED = (
     (theory, "covariance_curve"),
     (geometry, "neighbors_within"),
     (geometry, "DegenerateGeometryError"),
+    (geometry.GridIndex, "cell_edge"),
+    (functionals.BallUnionRegion, "bounding_box"),
+    (functionals.BallRegion, "bounding_box"),
 )
 # parameters that had one value everywhere and became constants
 REMOVED_PARAMETERS = (

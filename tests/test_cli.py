@@ -356,6 +356,22 @@ def test_non_numeric_field_exits_2(tmp_path, capsys, command, field, bad):
     assert f"config field '{field}' must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("density", 5),
+        ("functional", 5),
+        ("density.cells", {"kind": "table", "cells": ["q"]}),
+    ],
+    ids=["density", "functional", "table-cells"],
+)
+def test_wrong_kind_of_value_exits_2(tmp_path, capsys, field, value):
+    fields = dict(SIM_FIELDS, n=20, **{field.split(".")[0]: value})
+    cfg = write_config(tmp_path, **fields)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_bad_jobs(tmp_path):
     cfg = write_config(tmp_path, **SIM_FIELDS)
     assert main(["simulate", "--config", cfg, "--jobs", "0"]) == 2

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bdgeom import functionals
 from bdgeom.functionals import (
     BallRegion,
     BallUnionRegion,
@@ -23,7 +24,14 @@ from bdgeom.functionals import (
     validate_functional,
 )
 from bdgeom.geometry import Metric
-from oracles import induced_pattern_indicator
+from oracles import (
+    ball_lens_volume,
+    disk_lens_area,
+    induced_pattern_indicator,
+    interval_union_length,
+    lens_area,
+    triple_disk_area,
+)
 
 E2 = Metric("euclidean", 2)
 T2 = Metric("torus", 2)
@@ -292,19 +300,128 @@ def test_neighborhood_selector():
         neighborhood_from_selector("donut")
 
 
+def unit_discs(*rows):
+    """Centres ``(H, m, d)`` and unit radii ``(H, m)`` of equal-size rows."""
+    centers = np.array(rows, dtype=float)
+    return centers, np.ones(centers.shape[:2])
+
+
 def test_pair_volumes_disk_areas():
     rng = np.random.default_rng(8)
-    a = BallUnionRegion(np.array([[0.0, 0.0]]), 1.0, Metric("euclidean", 2))
-    b = BallUnionRegion(np.array([[1.0, 0.0]]), 1.0, Metric("euclidean", 2))
-    va, vb, vab = pair_volumes(a, b, 400_000, rng)
-    lens = 2 * math.acos(0.5) - 0.5 * math.sqrt(3)
-    assert va == pytest.approx(math.pi, rel=0.02)
-    assert vb == pytest.approx(math.pi, rel=0.02)
-    assert vab == pytest.approx(lens, rel=0.05)
-    # far apart: no overlap at all
-    c = BallUnionRegion(np.array([[5.0, 0.0]]), 1.0, Metric("euclidean", 2))
-    _, _, none = pair_volumes(a, c, 50_000, rng)
-    assert none == 0.0
+    # one disc a side, and the same discs as unions of two copies
+    for copies in (1, 2):
+        ca, ra = unit_discs([[0.0, 0.0]] * copies, [[0.0, 0.0]] * copies)
+        cb, rb = unit_discs([[1.0, 0.0]] * copies, [[5.0, 0.0]] * copies)
+        va, vb, vab = pair_volumes(ca, ra, cb, rb, 400_000, rng)
+        lens = 2 * math.acos(0.5) - 0.5 * math.sqrt(3)
+        assert np.allclose(va, math.pi, rtol=0, atol=1e-12)
+        assert np.allclose(vb, math.pi, rtol=0, atol=1e-12)
+        # far apart: no overlap at all
+        assert vab[0] == pytest.approx(lens, abs=1e-12) and vab[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_disc_unions_match_lens_and_triple_oracles():
+    # A = B(c0) u B(c1), B = B(c1) u B(c2): the regions of two edges sharing c1
+    rng = np.random.default_rng(21)
+    rows = rng.uniform(-1.0, 1.0, (60, 3, 2))
+    rows[0] = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]  # coincident discs
+    rows[1] = [[0.0, 0.0], [1.0, 0.0], [3.5, 0.0]]  # c2 clear of A
+    ca, ra = unit_discs(*rows[:, :2])
+    cb, rb = unit_discs(*rows[:, 1:])
+    va, vb, vab = pair_volumes(ca, ra, cb, rb, 1, rng)
+    gap = lambda i, j: np.linalg.norm(rows[:, i] - rows[:, j], axis=1)
+    assert np.allclose(va, 2.0 * math.pi - lens_area(gap(0, 1)), rtol=0, atol=1e-12)
+    assert np.allclose(vb, 2.0 * math.pi - lens_area(gap(1, 2)), rtol=0, atol=1e-12)
+    # inclusion-exclusion: vol(A & B) = pi + lens(c0, c2) - triple(c0, c1, c2)
+    triple = np.array([triple_disk_area(row, xpoints=65536) for row in rows])
+    want = math.pi + np.where(gap(0, 2) < 2.0, lens_area(gap(0, 2)), 0.0) - triple
+    assert np.allclose(vab, want, rtol=0, atol=2e-7)
+
+
+def test_interval_unions_match_merge_oracle():
+    rng = np.random.default_rng(22)
+    centers = rng.uniform(-2.0, 2.0, (200, 5, 1))
+    radii = rng.uniform(0.2, 1.0, (200, 5))
+    centers[0, :, 0] = [0.0, 0.0, 1.0, 2.0, 3.0]  # a repeat and touching ends
+    radii[0] = 0.5
+    va, vb, vab = pair_volumes(centers[:, :2], radii[:, :2], centers[:, 2:], radii[:, 2:], 1, rng)
+    for row, c, r in zip(range(len(centers)), centers[..., 0], radii):
+        spans = list(zip(c - r, c + r))
+        union = interval_union_length(spans)
+        assert va[row] == pytest.approx(interval_union_length(spans[:2]), abs=1e-12)
+        assert vb[row] == pytest.approx(interval_union_length(spans[2:]), abs=1e-12)
+        assert vab[row] == pytest.approx(va[row] + vb[row] - union, abs=1e-12)
+
+
+def test_unit_balls_in_three_dimensions_match_the_lens_volume():
+    rng = np.random.default_rng(23)
+    t = np.array([0.0, 0.4, 1.0, 1.7, 2.5])
+    lens = np.array([ball_lens_volume(min(x, 2.0)) for x in t])
+    offsets = np.zeros((len(t), 1, 3))
+    offsets[:, 0, 0] = t
+    ones = np.ones((len(t), 1))
+    # one ball a side: the closed form
+    va, _, vab = pair_volumes(np.zeros((len(t), 1, 3)), ones, offsets, ones, 1, rng)
+    assert np.allclose(va, 4.0 * math.pi / 3.0, rtol=0, atol=1e-12)
+    assert np.allclose(vab, lens, rtol=0, atol=1e-12)
+    # each ball as a union of two copies: hit-or-miss over the covering box
+    samples = 200_000
+    ca, cb = np.zeros((len(t), 2, 3)), np.repeat(offsets, 2, axis=1)
+    va, _, vab = pair_volumes(ca, np.ones((len(t), 2)), cb, np.ones((len(t), 2)), samples, rng)
+    box = 2.0 * 2.0 * (2.0 + t)
+    err = box * np.sqrt(lens / box * (1.0 - lens / box) / samples)
+    assert np.all(np.abs(vab - lens) <= 4.0 * err + 1e-12)
+    assert np.all(np.abs(va - 4.0 * math.pi / 3.0) <= 4.0 * box / math.sqrt(samples))
+
+
+def test_hit_or_miss_blocks_bound_memory_not_values(monkeypatch):
+    rng_rows = np.random.default_rng(24)
+    ca = rng_rows.uniform(-1.0, 1.0, (7, 3, 3))
+    cb = rng_rows.uniform(-1.0, 1.0, (7, 3, 3))
+    radii = np.ones((7, 3))
+    whole = pair_volumes(ca, radii, cb, radii, 500, np.random.default_rng(5))
+    # one row a block: the same uniform stream, so the same volumes
+    monkeypatch.setattr(functionals, "HIT_OR_MISS_BLOCK", 1)
+    blocked = pair_volumes(ca, radii, cb, radii, 500, np.random.default_rng(5))
+    for a, b in zip(whole, blocked):
+        assert np.array_equal(a, b)
+
+
+def test_unequal_circumballs_match_the_two_radius_lens():
+    rng = np.random.default_rng(25)
+    cases = [(1.3, 0.6, 1.1), (1.0, 0.4, 0.2), (0.9, 0.5, 1.6), (0.7, 0.7, 0.0), (2.0, 0.3, 1.7)]
+    big, small, gap = (np.array(col) for col in zip(*cases))
+    ca = np.zeros((len(cases), 1, 2))
+    cb = np.zeros((len(cases), 1, 2))
+    cb[:, 0, 0] = gap
+    va, vb, vab = pair_volumes(ca, big[:, None], cb, small[:, None], 1, rng)
+    assert np.allclose(va, math.pi * big**2, rtol=0, atol=1e-12)
+    assert np.allclose(vb, math.pi * small**2, rtol=0, atol=1e-12)
+    want = [disk_lens_area(*case) for case in cases]
+    assert np.allclose(vab, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, selector", [("balls", "clique:3"), ("circumball", "morse:1")])
+def test_intruder_counts_match_contains_many(kind, selector):
+    nbhd = NeighborhoodMap(kind)
+    k = from_selector(selector).k
+    rng = np.random.default_rng(26)
+    tuples = rng.uniform(-1.0, 1.0, (40, k, 2))
+    ys = rng.uniform(-1.5, 1.5, (40, 4, 2))
+    # ties: a point exactly one unit from a ball centre, and the tuple's own points
+    tuples[0] = np.array([[0.5, 0.25], [-0.5, 0.25], [-0.5, -0.75]])[:k]
+    ys[0, 0] = [1.5, 0.25]  # exactly 1 from the first point, farther from the rest
+    ys[1, :k] = tuples[1]
+    centers, radii, valid = nbhd.balls(tuples)
+    assert valid.all()
+    counts = nbhd.count_inside(centers, radii, ys)
+    regions = nbhd.build(tuples, 1.0, E2)
+    brute = [int(np.count_nonzero(region.contains_many(y))) for region, y in zip(regions, ys)]
+    assert list(counts) == brute
+    if kind == "balls":
+        assert counts[0] >= 1  # closed balls keep the point at distance exactly 1
+    else:
+        assert counts[0] == 0  # outside the circumball of radius 1/2 around (0, 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,21 @@ import os
 import numpy as np
 import pytest
 
-from bdgeom.functionals import ConfigError, NeighborhoodMap, make_clique
+from bdgeom.functionals import (
+    ConfigError,
+    NeighborhoodMap,
+    make_clique,
+    make_morse,
+    pair_volumes,
+)
+from bdgeom.geometry import Metric
 from bdgeom.process import Density
 from bdgeom.theory import (
     CovarianceModel,
     IntegralEstimate,
     TruncationError,
     _exclusive_harmonics,
+    _shared_tuples,
     exclusive_mixture_model,
     mean_moment,
     mixture_model,
@@ -217,6 +225,73 @@ def test_vacancy_batch_shared_zero_column():
     assert cols[1].value > 2.0 * cols[1].std_error
 
 
+def test_harmonics_compute_volumes_in_one_stacked_call(monkeypatch):
+    from bdgeom import theory
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return theory_pair_volumes(*args)
+
+    theory_pair_volumes = theory.pair_volumes
+    monkeypatch.setattr(theory, "pair_volumes", counted)
+    _exclusive_harmonics(make_clique(3), NeighborhoodMap("balls"), UNIFORM2, 1.0, 1, 4, budget=800)
+    assert len(calls) == 1 and calls[0] > 1
+
+
+def test_isolated_point_fully_shared_column_is_exact():
+    # j = k = 1: A = B is one unit disc, so every draw gives e^(-2 g pi) (g pi)^p / p!
+    gamma = 0.8
+    signed, absed = _exclusive_harmonics(
+        make_clique(1), NeighborhoodMap("balls"), UNIFORM2, gamma, 1, 6, budget=400, seed=3
+    )
+    for p, (est, dom) in enumerate(zip(signed, absed)):
+        exact = math.exp(-2.0 * gamma * math.pi) * (gamma * math.pi) ** p / math.factorial(p)
+        assert est.value == pytest.approx(exact, rel=0, abs=1e-12)
+        assert est.std_error == 0.0 and dom.value == est.value
+
+
+@pytest.mark.parametrize("shared", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["balls", "circumball"])
+def test_stacked_harmonics_match_a_per_row_loop(kind, shared):
+    # reference: one tuple pair at a time, regions from build, intruders from
+    # contains_many, and the (1 -+ s)**W product by np.convolve
+    f = make_clique(2) if kind == "balls" else make_morse(1)
+    nbhd = NeighborhoodMap(kind)
+    gamma, max_power, budget, seed = 1.3, 5, 400, 7
+    signed, absed = _exclusive_harmonics(
+        f, nbhd, UNIFORM2, gamma, shared, max_power, budget, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    first, second, volume = _shared_tuples(
+        f, 2, shared, budget, rng, free_anchor_radius=2.0 * nbhd.reach_scale1(f)
+    )
+    metric = Metric("euclidean", 2)
+    vals = f.batch(first, 1.0, metric) * f.batch(second, 1.0, metric)
+    want_signed = np.zeros((budget, max_power + 1))
+    want_absed = np.zeros((budget, max_power + 1))
+    for i in np.nonzero(vals)[0]:
+        (region_a,) = nbhd.build(first[i][None], 1.0, metric)
+        (region_b,) = nbhd.build(second[i][None], 1.0, metric)
+        balls_a, balls_b = nbhd.balls(first[i][None])[:2], nbhd.balls(second[i][None])[:2]
+        vol_a, vol_b, vol_ab = (float(v[0]) for v in pair_volumes(*balls_a, *balls_b, 1, rng))
+        base = vals[i] * volume * math.exp(-gamma * (vol_a + vol_b))
+        exp_coef = np.array([(gamma * vol_ab) ** p / math.factorial(p) for p in range(max_power + 1)])
+        w = int(np.count_nonzero(region_a.contains_many(second[i, shared:])))
+        w += int(np.count_nonzero(region_b.contains_many(first[i, : f.k - shared])))
+        binom = np.array([math.comb(w, n) for n in range(w + 1)], dtype=float)
+        alt = binom * (-1.0) ** np.arange(w + 1)
+        want_signed[i] = base * np.convolve(exp_coef, alt)[: max_power + 1]
+        want_absed[i] = base * np.convolve(exp_coef, binom)[: max_power + 1]
+    for got, want in ((signed, want_signed), (absed, want_absed)):
+        for p in range(max_power + 1):
+            if shared == 0 and p == 0:
+                assert got[p] is None
+                continue
+            assert got[p].value == pytest.approx(want[:, p].mean(), rel=1e-10, abs=1e-14)
+
+
 def test_vacancy_integral_validation():
     f = make_clique(2)
     nb = NeighborhoodMap("balls")
@@ -308,6 +383,20 @@ def test_model_round_trip(tmp_path):
     loaded = CovarianceModel.load(str(path))
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.kind == "plain" and loaded.k == 2
+
+
+def test_exclusive_model_records_its_tail_ratio(tmp_path):
+    model = exclusive_mixture_model(
+        make_clique(1), NeighborhoodMap("balls"), UNIFORM2, gamma=1.0,
+        budget=400, max_rate=12, tail_tol=1e-2, seed=0,
+    )
+    assert 0.0 < model.tail_ratio <= 1e-2
+    path = tmp_path / "model.json"
+    model.save(str(path))
+    assert CovarianceModel.load(str(path)).tail_ratio == model.tail_ratio
+    plain = make_toy_model()
+    assert plain.tail_ratio is None
+    assert CovarianceModel.from_dict(plain.to_dict()).tail_ratio is None
 
 
 def test_model_curve_properties():
