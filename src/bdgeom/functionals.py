@@ -59,7 +59,7 @@ def make_clique(k: int) -> LocalFunctional:
 
     def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
         # a single point has no pairs, so every subset scores 1
-        adjacent = metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r
+        adjacent = metric.pairwise_batch(points, iu) <= r
         return np.all(adjacent, axis=1).astype(float)
 
     return LocalFunctional(name=f"clique:{k}", k=k, r_max=1.0, xi_sup=1.0, batch=batch)
@@ -116,7 +116,7 @@ def make_subgraph(k: int, edges: Sequence[tuple[int, int]]) -> LocalFunctional:
     accepted = np.unique(target[perms[:, iu[0]], perms[:, iu[1]]] @ bits)
 
     def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
-        codes = (metric.pairwise_batch(points)[:, iu[0], iu[1]] <= r) @ bits
+        codes = (metric.pairwise_batch(points, iu) <= r) @ bits
         return np.isin(codes, accepted).astype(float)
 
     label = ",".join(f"{a}-{b}" for a, b in sorted(edge_set))
@@ -199,9 +199,6 @@ class BallUnionRegion:
         spread = metric.distance_many(self.anchor, self.points)
         self.query_radius = float(np.max(spread)) + self.r
 
-    def contains(self, y: NDArray) -> bool:
-        return bool(np.min(self.metric.distance_many(y, self.points)) <= self.r)
-
     def contains_many(self, ys: NDArray) -> NDArray:
         ys = np.asarray(ys, dtype=float)
         out = np.zeros(len(ys), dtype=bool)
@@ -222,9 +219,6 @@ class BallRegion:
         self.anchor = self.center
         self.query_radius = self.radius
 
-    def contains(self, y: NDArray) -> bool:
-        return self.metric.distance(y, self.center) < self.radius
-
     def contains_many(self, ys: NDArray) -> NDArray:
         return self.metric.distance_many(self.center, np.asarray(ys, dtype=float)) < self.radius
 
@@ -240,31 +234,37 @@ class NeighborhoodMap:
         degenerate row (no circumball) gets ``None``."""
         if self.kind == "balls":
             return [BallUnionRegion(p, r, metric) for p in points]
-        ball = circumball(metric.unwrap(points))
-        # unwrap anchors each chart at the row's first point, so centers are in-chart
+        centers, radii, valid = self.balls(points, r, metric)
         return [
-            BallRegion(center, radius, metric) if ok else None
-            for center, radius, ok in zip(ball.center, ball.radius, ball.valid)
+            BallRegion(center[0], radius[0], metric) if ok else None
+            for center, radius, ok in zip(centers, radii, valid)
         ]
 
-    def balls(self, points: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-        """The regions of a ``(B, k, d)`` euclidean stack at ``r = 1`` as
-        balls: centres ``(B, m, d)``, radii ``(B, m)`` and a ``(B,)`` mask
-        that is False where the circumball is degenerate."""
+    def balls(self, points: NDArray, r: float, metric: Metric) -> tuple[NDArray, NDArray, NDArray]:
+        """The regions of a ``(B, k, d)`` stack of subsets at scale ``r`` as
+        balls: centres ``(B, m, d)`` (wrapped into the metric's domain),
+        radii ``(B, m)`` and a ``(B,)`` mask that is False where the
+        circumball is degenerate; ``m`` is ``k`` for ``balls``, 1 for
+        ``circumball``."""
         if self.kind == "balls":
-            return points, np.ones(points.shape[:2]), np.ones(len(points), dtype=bool)
-        ball = circumball(points)
-        return ball.center[:, None], ball.radius[:, None], ball.valid
+            return points, np.full(points.shape[:2], float(r)), np.ones(len(points), dtype=bool)
+        # unwrap anchors each chart at the row's first point, so centers are in-chart
+        ball = circumball(metric.unwrap(points))
+        return metric.wrap(ball.center)[:, None], ball.radius[:, None], ball.valid
 
-    def count_inside(self, centers: NDArray, radii: NDArray, ys: NDArray) -> NDArray:
-        """How many of each row's points ``ys`` ``(B, n, d)`` lie in its
-        region from ``balls``: closed balls for ``balls``, an open ball for
-        ``circumball``, the rules of ``contains_many``."""
-        delta = ys[:, :, None, :] - centers[:, None, :, :]
+    def inside(self, centers: NDArray, radii: NDArray, ys: NDArray, metric: Metric) -> NDArray:
+        """Whether each point of ``ys`` ``(..., n, d)`` lies in the regions
+        from ``balls`` (``(..., m, d)`` centres, ``(..., m)`` radii), with
+        the leading shapes broadcast: ``(..., n)``.  Closed balls for
+        ``balls``, an open ball for ``circumball``, by the formula of
+        ``contains_many``."""
+        delta = ys[..., :, None, :] - centers[..., None, :, :]
+        if metric.kind == "torus":
+            delta = delta - np.round(delta)
         dist = np.sqrt(np.sum(delta * delta, axis=-1))
-        limit = radii[:, None, :]
-        inside = dist <= limit if self.kind == "balls" else dist < limit
-        return np.count_nonzero(inside.any(axis=2), axis=1)
+        limit = radii[..., None, :]
+        hit = dist <= limit if self.kind == "balls" else dist < limit
+        return hit.any(axis=-1)
 
     def max_reach(self, functional: LocalFunctional, r: float) -> float:
         """Upper bound on ``query_radius`` over subsets with ``f > 0``."""

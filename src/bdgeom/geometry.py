@@ -73,16 +73,19 @@ class Metric:
             delta = delta - np.round(delta)
         return np.sqrt(np.sum(delta * delta, axis=2))
 
-    def pairwise_batch(self, points: NDArray) -> NDArray:
-        """Pairwise distances within each of a batch of point sets.
+    def pairwise_batch(self, points: NDArray, pairs: tuple[NDArray, NDArray]) -> NDArray:
+        """Distances of selected point pairs within each of a batch of sets.
 
-        ``points`` has shape ``(B, m, d)``; the result is ``(B, m, m)``.
+        ``points`` has shape ``(B, m, d)`` and ``pairs`` is a pair ``(i, j)``
+        of index arrays of length ``P``, as from ``np.triu_indices(m, 1)``;
+        the result is ``(B, P)``, entry ``[b, p]`` the distance between
+        points ``i[p]`` and ``j[p]`` of set ``b``.
         """
         pts = np.asarray(points, dtype=float)
-        delta = pts[:, :, None, :] - pts[:, None, :, :]
+        delta = pts[:, pairs[0]] - pts[:, pairs[1]]
         if self.kind == "torus":
             delta = delta - np.round(delta)
-        return np.sqrt(np.sum(delta * delta, axis=3))
+        return np.sqrt(np.sum(delta * delta, axis=2))
 
     def unwrap(self, points: NDArray) -> NDArray:
         """Euclidean representatives of torus point sets of diameter < 1/2.
@@ -148,15 +151,18 @@ class GridIndex:
         return self._positions[key]
 
     def _cell_of(self, x: NDArray) -> tuple[int, ...]:
-        coords = np.floor(np.asarray(x, dtype=float) / self._edge).astype(int)
+        # per coordinate on Python floats: the same arithmetic as numpy's,
+        # without its per-call overhead on a d-vector
+        coords = [math.floor(c / self._edge) for c in x.tolist()]
         if self.metric.kind == "torus":
-            coords = np.mod(coords, self._cells_per_axis)
-        return tuple(int(c) for c in coords)
+            return tuple(c % self._cells_per_axis for c in coords)
+        return tuple(coords)
 
     def insert(self, key: Hashable, position: NDArray) -> None:
         if key in self._positions:
             raise KeyError(f"id {key!r} already indexed")
-        pos = np.asarray(position, dtype=float)
+        # a copy: the caller may later overwrite the array it passed a view of
+        pos = np.array(position, dtype=float)
         self._positions[key] = pos
         self._cells.setdefault(self._cell_of(pos), []).append(key)
 
@@ -170,28 +176,31 @@ class GridIndex:
 
     def _candidate_cells(self, x: NDArray, rho: float) -> Iterable[tuple[int, ...]]:
         pad = padded_radius(rho)
-        pos = np.asarray(x, dtype=float)
-        lo = np.floor((pos - pad) / self._edge).astype(int)
-        hi = np.floor((pos + pad) / self._edge).astype(int)
-        spans = [range(a, b + 1) for a, b in zip(lo.tolist(), hi.tolist())]
+        spans = [
+            range(math.floor((c - pad) / self._edge), math.floor((c + pad) / self._edge) + 1)
+            for c in np.asarray(x, dtype=float).tolist()
+        ]
         if self.metric.kind == "torus":
             m = self._cells_per_axis
             if max(len(span) for span in spans) >= m:
                 # query ball wraps the whole axis; visit each cell once
-                yield from list(self._cells.keys())
-                return
-            for cell in itertools.product(*spans):
-                yield tuple(c % m for c in cell)
-        else:
-            yield from itertools.product(*spans)
+                return list(self._cells.keys())
+            spans = [[c % m for c in span] for span in spans]
+        return itertools.product(*spans)
 
-    def query(self, x: NDArray, rho: float) -> list[Hashable]:
-        """Ids of indexed points within closed distance ``rho`` of ``x``."""
-        candidates: list[Hashable] = []
+    def candidates(self, x: NDArray, rho: float) -> list[Hashable]:
+        """Ids in the cells that cover the closed ``rho``-ball around ``x``:
+        every id within distance ``rho`` of ``x`` and some farther ones."""
+        found: list[Hashable] = []
         for cell in self._candidate_cells(x, rho):
             bucket = self._cells.get(cell)
             if bucket:
-                candidates.extend(bucket)
+                found.extend(bucket)
+        return found
+
+    def query(self, x: NDArray, rho: float) -> list[Hashable]:
+        """Ids of indexed points within closed distance ``rho`` of ``x``."""
+        candidates = self.candidates(x, rho)
         if not candidates:
             return []
         pts = np.array([self._positions[c] for c in candidates])

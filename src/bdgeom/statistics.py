@@ -50,11 +50,8 @@ class TimeSeries:
     rep: int = 0
 
 
-@dataclass
-class _RegistryEntry:
-    xi: float
-    region: object
-    occupants: int  # alive non-members inside the region; counts at 0
+# slots the exclusive registry starts with; it doubles when full
+INITIAL_SLOTS = 64
 
 
 class SubsetTracker:
@@ -63,6 +60,13 @@ class SubsetTracker:
     The configuration must be kept in lockstep by the caller: for each
     event, call ``apply_event`` first (it reads the pre-event state), then
     ``config.apply_event``.  ``replay`` does this bookkeeping.
+
+    In exclusive mode the registered subsets live in slot arrays: the
+    centres ``(cap, m, d)`` and radii ``(cap, m)`` of each region as
+    balls (``NeighborhoodMap.balls``), the value ``xi`` and the
+    ``occupants`` count.  Slot ``i`` holds subset ``_keys[i]`` and
+    ``_slot`` maps it back; an evicted slot is refilled from the end, so
+    slots ``0 .. registry_size - 1`` are always the live ones.
     """
 
     def __init__(
@@ -89,11 +93,18 @@ class SubsetTracker:
         if not config.indexed:
             config.build_index(max(self.enum_radius, self.max_reach, 1e-6))
         self._sum = KahanSum()
-        self._registry: dict[frozenset, _RegistryEntry] = {}
+        self._keys: list[frozenset] = []
+        self._slot: dict[frozenset, int] = {}
         self._member_keys: dict[int, set[frozenset]] = {}
-        self._anchor_grid: Optional[GridIndex] = None
         if neighborhood is not None:
+            # grid of region anchors (first centres), keyed by subset
             self._anchor_grid = GridIndex(config.metric, max(self.max_reach, 1e-6))
+            width = functional.k if neighborhood.kind == "balls" else 1
+            dim = config.metric.dim
+            self._centers = np.empty((INITIAL_SLOTS, width, dim))
+            self._radii = np.empty((INITIAL_SLOTS, width))
+            self._xi = np.empty(INITIAL_SLOTS)
+            self._occupants = np.empty(INITIAL_SLOTS, dtype=np.intp)
         self._init_scan()
 
     @property
@@ -102,14 +113,14 @@ class SubsetTracker:
 
     @property
     def registry_size(self) -> int:
-        return len(self._registry)
+        return len(self._keys)
 
     # -- initial enumeration ------------------------------------------------
 
     def _init_scan(self) -> None:
         for anchor in sorted(self.config.ids()):
             pids = [anchor] + [p for p in self._near(self.config.position(anchor)) if p > anchor]
-            self._admit(*self._scored(pids, self.config.positions_array(pids), 0))
+            self._admit(pids, self.config.positions_array(pids), 0)
 
     def _near(self, x: NDArray) -> list[int]:
         """Ascending ids within the enumeration radius of ``x``; ``k = 1``
@@ -138,34 +149,66 @@ class SubsetTracker:
         live = np.nonzero(vals)[0]
         return [tuple(pids[i] for i in rows[j]) for j in live], pts[rows[live]], vals[live]
 
-    def _admit(self, members: list, points: NDArray, vals: NDArray) -> None:
-        """Register subsets with nonzero values, regions built in one call."""
+    def _admit(self, pids: list[int], pts: NDArray, must: int) -> None:
+        """Count or register the scored subsets of ``pids`` that contain
+        ``pids[must]``; their regions are built and their occupants counted
+        in one call each."""
+        members, points, vals = self._scored(pids, pts, must)
         if self.nbhd is None:
             for val in vals.tolist():
                 self._sum.add(val)
             return
         if not members:
             return
-        regions = self.nbhd.build(points, self.r, self.config.metric)
-        for pids, val, region in zip(members, vals.tolist(), regions):
-            if region is None:
-                continue
-            key = frozenset(pids)
-            occupants = self._occupants(region, key)
-            self._registry[key] = _RegistryEntry(val, region, occupants)
-            for pid in pids:
+        centers, radii, valid = self.nbhd.balls(points, self.r, self.config.metric)
+        if not valid.all():  # a degenerate circumball has no region
+            members = [m for m, ok in zip(members, valid.tolist()) if ok]
+            centers, radii, vals = centers[valid], radii[valid], vals[valid]
+        if not members:
+            return
+        occupants = self._occupants_of(pts[must], members, centers, radii)
+        first = len(self._keys)
+        stop = first + len(members)
+        self._reserve(stop)
+        self._centers[first:stop] = centers
+        self._radii[first:stop] = radii
+        self._xi[first:stop] = vals
+        self._occupants[first:stop] = occupants
+        for slot, subset in enumerate(members, first):
+            key = frozenset(subset)
+            self._slot[key] = slot
+            self._keys.append(key)
+            for pid in subset:
                 self._member_keys.setdefault(pid, set()).add(key)
-            self._anchor_grid.insert(key, region.anchor)
-            if occupants == 0:
-                self._sum.add(val)
+            self._anchor_grid.insert(key, centers[slot - first, 0])
+        for val in vals[occupants == 0].tolist():
+            self._sum.add(val)
 
-    def _occupants(self, region, exclude: frozenset) -> int:
-        """Alive points outside ``exclude`` that lie in ``region``."""
-        ids = self.config.neighbors_within(region.anchor, padded_radius(region.query_radius))
-        others = [p for p in ids if p not in exclude]
+    def _occupants_of(self, x: NDArray, members: list, centers: NDArray, radii: NDArray) -> NDArray:
+        """Alive non-members inside each region of subsets that all have a
+        member at ``x``, from one neighbour query around ``x``."""
+        metric = self.config.metric
+        # each region lies within its centres' distance from x plus their radii
+        reach = float(np.max(metric.distance_many(x, centers.reshape(-1, len(x))) + radii.ravel()))
+        others = self.config.neighbors_within(x, padded_radius(reach))
         if not others:
-            return 0
-        return int(np.count_nonzero(region.contains_many(self.config.positions_array(others))))
+            return np.zeros(len(members), dtype=np.intp)
+        hit = self.nbhd.inside(centers, radii, self.config.positions_array(others), metric)
+        hit &= ~(np.array(members)[:, :, None] == np.array(others)).any(axis=1)
+        return np.count_nonzero(hit, axis=1)
+
+    def _reserve(self, size: int) -> None:
+        """Grow the slot arrays, by doubling, to hold ``size`` subsets."""
+        capacity = len(self._xi)
+        if size <= capacity:
+            return
+        capacity = max(2 * capacity, size)
+        live = len(self._keys)
+        for name in ("_centers", "_radii", "_xi", "_occupants"):
+            old = getattr(self, name)
+            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            grown[:live] = old[:live]
+            setattr(self, name, grown)
 
     # -- event updates ------------------------------------------------------
 
@@ -183,7 +226,7 @@ class SubsetTracker:
         cands = self._near(x)
         pts = np.vstack([self.config.positions_array(cands), x[None, :]])
         # the newcomer's id is the largest, so it goes last
-        self._admit(*self._scored(cands + [pid], pts, len(cands)))
+        self._admit(cands + [pid], pts, len(cands))
 
     def _on_death(self, pid: int) -> None:
         y = self.config.position(pid)
@@ -194,29 +237,53 @@ class SubsetTracker:
                 self._sum.add(-val)
             return
         # exclusive mode: drop subsets containing the point ...
-        for key in list(self._member_keys.get(pid, ())):
-            entry = self._registry.pop(key)
-            if entry.occupants == 0:
-                self._sum.add(-entry.xi)
-            self._anchor_grid.remove(key)
-            for member in key:
-                keys = self._member_keys[member]
-                keys.remove(key)
-                if not keys:
-                    del self._member_keys[member]
+        keys = self._member_keys.get(pid)
+        if keys:
+            self._evict(list(keys))
         # ... then every region the point occupied loses one occupant
         self._count_occupant(y, -1)
 
+    def _evict(self, keys: list) -> None:
+        """Unregister subsets; the live slots past the new end fill the
+        freed slots below it."""
+        gone = np.array(sorted(self._slot.pop(key) for key in keys), dtype=np.intp)
+        for val in self._xi[gone[self._occupants[gone] == 0]].tolist():
+            self._sum.add(-val)
+        for key in keys:
+            self._anchor_grid.remove(key)
+            for member in key:
+                owned = self._member_keys[member]
+                owned.remove(key)
+                if not owned:
+                    del self._member_keys[member]
+        size = len(self._keys) - len(gone)
+        holes = gone[gone < size]
+        if len(holes):
+            stays = np.ones(len(gone), dtype=bool)
+            stays[gone[len(holes):] - size] = False
+            movers = np.arange(size, len(self._keys))[stays]
+            for array in (self._centers, self._radii, self._xi, self._occupants):
+                array[holes] = array[movers]
+            for hole, mover in zip(holes.tolist(), movers.tolist()):
+                key = self._keys[mover]
+                self._keys[hole] = key
+                self._slot[key] = hole
+        del self._keys[size:]
+
     def _count_occupant(self, y: NDArray, step: int) -> None:
         """Add ``step`` (``1`` for a birth, ``-1`` for a death at ``y``) to
-        the occupants of each region containing ``y``; a subset leaves the
-        sum as its count goes 0 -> 1 and returns as it goes 1 -> 0."""
-        for key in self._anchor_grid.query(y, padded_radius(self.max_reach)):
-            entry = self._registry[key]
-            if entry.region.contains(y):
-                entry.occupants += step
-                if entry.occupants == max(step, 0):
-                    self._sum.add(-step * entry.xi)
+        the occupants of each region containing ``y``, tested in one stacked
+        call over the regions anchored near ``y``; a subset leaves the sum
+        as its count goes 0 -> 1 and returns as it goes 1 -> 0."""
+        keys = self._anchor_grid.candidates(y, self.max_reach)
+        if not keys:
+            return
+        slots = np.fromiter(map(self._slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+        inside = self.nbhd.inside(self._centers[slots], self._radii[slots], y[None], self.config.metric)
+        hit = slots[inside[:, 0]]
+        self._occupants[hit] += step
+        for val in self._xi[hit[self._occupants[hit] == max(step, 0)]].tolist():
+            self._sum.add(-step * val)
 
 
 def evaluate_statistic(

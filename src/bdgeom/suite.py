@@ -11,7 +11,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +50,8 @@ class CheckResult:
     threshold: float
     detail: str
     seconds: float
+    # diagnostics of the check's inputs, such as its model's tail ratio
+    metrics: dict = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -71,13 +73,17 @@ class CheckResult:
             "threshold": self.threshold,
             "detail": self.detail,
             "seconds": round(self.seconds, 2),
+            **({"metrics": self.metrics} if self.metrics else {}),
         }
 
 
 def _timed(index: int, name: str, fn) -> CheckResult:
+    """Run a check body returning ``(passed, observed, threshold, detail)``,
+    optionally followed by a ``metrics`` dict."""
     start = time.perf_counter()
-    passed, observed, threshold, detail = fn()
-    return CheckResult(index, name, passed, observed, threshold, detail, time.perf_counter() - start)
+    passed, observed, threshold, detail, *metrics = fn()
+    seconds = time.perf_counter() - start
+    return CheckResult(index, name, passed, observed, threshold, detail, seconds, *metrics)
 
 
 def _uniform_config(n: float, horizon: float, gamma: Optional[float] = None, seed: int = 0) -> SimulationConfig:
@@ -338,7 +344,8 @@ def check_covariance_exclusive(seed: int = 0) -> CheckResult:
         pairs = ", ".join(
             f"d={lag:g}: {v:.3f}/{t:.3f}" for lag, v, t in zip(lags, est.values, reference)
         )
-        return gap <= 0.07, gap, 0.07, f"max |empirical - truncated mixture|; {pairs}"
+        detail = f"max |empirical - truncated mixture|; {pairs}"
+        return gap <= 0.07, gap, 0.07, detail, {"tail_ratio": model.tail_ratio}
 
     return _timed(7, "covariance-exclusive", body)
 

@@ -414,8 +414,8 @@ def _exclusive_harmonics(
         qx = density.pdf_many(x)
         # x is importance-sampled from q, so one density factor cancels
         x_weight = qx ** (2 * k - shared - 1)
-    centers_a, radii_a, valid_a = nbhd.balls(first[hits])
-    centers_b, radii_b, valid_b = nbhd.balls(second[hits])
+    centers_a, radii_a, valid_a = nbhd.balls(first[hits], 1.0, metric)
+    centers_b, radii_b, valid_b = nbhd.balls(second[hits], 1.0, metric)
     keep = valid_a & valid_b  # a degenerate circumball has no region
     hits, qx, x_weight = hits[keep], qx[keep], x_weight[keep]
     centers_a, radii_a = centers_a[keep], radii_a[keep]
@@ -428,8 +428,9 @@ def _exclusive_harmonics(
         np.column_stack([np.ones(len(hits)), a[:, None] / np.arange(1.0, max_power + 1.0)]), axis=1
     )
     if cross_exclusion:
-        intruders = nbhd.count_inside(centers_a, radii_a, second[hits, shared:])
-        intruders += nbhd.count_inside(centers_b, radii_b, first[hits, : k - shared])
+        inside_a = nbhd.inside(centers_a, radii_a, second[hits, shared:], metric)
+        inside_b = nbhd.inside(centers_b, radii_b, first[hits, : k - shared], metric)
+        intruders = np.count_nonzero(inside_a, axis=1) + np.count_nonzero(inside_b, axis=1)
     else:
         intruders = np.zeros(len(hits), dtype=int)
     # times (1 - s)**W and (1 + s)**W: coef is base * C(W, w), zero for w > W

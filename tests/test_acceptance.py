@@ -32,3 +32,5 @@ def test_criterion(name, check):
     result = check(seed=0)
     ACCEPTANCE_LINES.append(result.line())
     assert result.passed, result.line()
+    # check 07 reports its model's certified tail ratio; the others report nothing
+    assert set(result.metrics) == ({"tail_ratio"} if name == "covariance-exclusive" else set())

@@ -14,6 +14,9 @@ REMOVED = (
     (geometry.GridIndex, "cell_edge"),
     (functionals.BallUnionRegion, "bounding_box"),
     (functionals.BallRegion, "bounding_box"),
+    (functionals.NeighborhoodMap, "count_inside"),
+    (functionals.BallUnionRegion, "contains"),
+    (functionals.BallRegion, "contains"),
 )
 # parameters that had one value everywhere and became constants
 REMOVED_PARAMETERS = (

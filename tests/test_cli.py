@@ -10,10 +10,10 @@ import sys
 
 import pytest
 
-from bdgeom import cli
+from bdgeom import cli, suite
 from bdgeom.cli import main
 from bdgeom.functionals import ConfigError
-from bdgeom.suite import worker_count
+from bdgeom.suite import CheckResult, worker_count
 
 
 def write_config(tmp_path, **fields):
@@ -232,7 +232,20 @@ def test_full_cmd_subset(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
     assert len(summary["checks"]) == 2
+    assert not any("metrics" in check for check in summary["checks"])
     assert "2/2 checks passed" in capsys.readouterr().out
+
+
+def test_full_summary_carries_check_metrics(tmp_path, monkeypatch):
+    def fake(seed=0):
+        return CheckResult(7, "fake", True, 0.0, 1.0, "detail", 0.0, {"tail_ratio": 3e-4})
+
+    monkeypatch.setitem(suite.CHECKS, "fake", fake)
+    cfg = write_config(tmp_path, checks=["fake"], seed=0)
+    out = tmp_path / "out"
+    assert main(["full", "--config", cfg, "--out", str(out)]) == 0
+    (check,) = json.loads((out / "summary.json").read_text())["checks"]
+    assert check["metrics"] == {"tail_ratio": 3e-4}
 
 
 def test_full_cmd_empty_check_list(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bdgeom.functionals import NeighborhoodMap, make_clique, make_subgraph
 from bdgeom.geometry import Metric
 from bdgeom.process import Configuration, Event, MarkedPoint
-from bdgeom.statistics import SubsetTracker, count_pairs_within, evaluate_statistic
+from bdgeom.statistics import INITIAL_SLOTS, SubsetTracker, count_pairs_within, evaluate_statistic
 from bdgeom.suite import _builtin_pairs
 
 METRICS = (Metric("torus", 2), Metric("euclidean", 2))
@@ -134,10 +134,43 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
 
 
 def assert_occupant_counts(tracker, config):
-    """Each registry entry holds the brute-force count of alive non-members
-    inside its region."""
-    alive = config.ids()
-    for key, entry in tracker._registry.items():
+    """Each registered subset's slot holds the brute-force count of alive
+    non-members inside its region, rebuilt from the members' positions."""
+    assert len(tracker._slot) == tracker.registry_size
+    alive = list(config.ids())
+    for key, slot in tracker._slot.items():
+        assert tracker._keys[slot] == key
+        members = sorted(key)
+        (region,) = tracker.nbhd.build(config.positions_array(members)[None], tracker.r, config.metric)
         others = [p for p in alive if p not in key]
-        inside = entry.region.contains_many(config.positions_array(others)) if others else []
-        assert entry.occupants == np.count_nonzero(inside), sorted(key)
+        inside = region.contains_many(config.positions_array(others)) if others else []
+        assert tracker._occupants[slot] == np.count_nonzero(inside), members
+
+
+def test_registry_slots_survive_eviction_and_growth():
+    """A death frees a middle slot and the last subset moves into it; the
+    slot arrays grow past their initial capacity."""
+    side, r = 10, 0.02
+    grid = (np.indices((side, side)).reshape(2, -1).T + 0.5) / side
+    assert len(grid) > INITIAL_SLOTS
+    config = Configuration.from_points(grid, METRICS[0])
+    tracker = SubsetTracker(config, make_clique(1), r, NeighborhoodMap("balls"))
+    assert (tracker.value, tracker.registry_size) == (100.0, 100)
+    middle, last = tracker._keys[50], tracker._keys[-1]
+    (pid,) = middle
+
+    def step(event, value, size):
+        tracker.apply_event(event)
+        config.apply_event(event)
+        assert (tracker.value, tracker.registry_size) == (value, size)
+        assert_occupant_counts(tracker, config)
+
+    step(Event(1.0, "death", MarkedPoint(pid, config.position(pid), 0.0, 1.0)), 99.0, 99)
+    assert middle not in tracker._slot and tracker._slot[last] == 50
+    # a newcomer beside a survivor: both regions hold one occupant
+    for i, pid in enumerate((7, 42, 99)):
+        spot = config.position(pid) + [0.01, 0.0]
+        newcomer = MarkedPoint(config.next_id, spot, 2.0 + i, 1.0)
+        step(Event(2.0 + i, "birth", newcomer), 98.0 - i, 100 + i)
+    # the survivor's death frees the newcomer beside it
+    step(Event(6.0, "death", MarkedPoint(42, config.position(42), 0.0, 1.0)), 97.0, 101)

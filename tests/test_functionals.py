@@ -235,9 +235,8 @@ def test_selector_rejects_garbage(bad):
 
 def test_ball_union_region_membership():
     region = BallUnionRegion(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, E2)
-    assert region.contains(np.array([1.4, 0.0]))
-    assert region.contains(np.array([1.5, 0.0]))  # closed boundary
-    assert not region.contains(np.array([1.6, 0.0]))
+    on_axis = np.array([[1.4, 0.0], [1.5, 0.0], [1.6, 0.0]])
+    assert list(region.contains_many(on_axis)) == [True, True, False]  # closed boundary
     assert region.query_radius == pytest.approx(1.5)
     ys = np.array([[0.2, 0.1], [0.9, 0.3], [0.5, 0.49], [2.0, 2.0]])
     assert list(region.contains_many(ys)) == [True, True, False, False]
@@ -245,13 +244,12 @@ def test_ball_union_region_membership():
 
 def test_ball_union_region_wraps_on_torus():
     region = BallUnionRegion(np.array([[0.98, 0.5]]), 0.1, T2)
-    assert region.contains(np.array([0.02, 0.5]))
+    assert list(region.contains_many(np.array([[0.02, 0.5]]))) == [True]
 
 
 def test_ball_region_is_open():
     region = BallRegion(np.array([0.0, 0.0]), 1.0, E2)
-    assert region.contains(np.array([0.99, 0.0]))
-    assert not region.contains(np.array([1.0, 0.0]))
+    assert list(region.contains_many(np.array([[0.99, 0.0], [1.0, 0.0]]))) == [True, False]
     ys = np.array([[0.0, 0.5], [0.0, 1.0]])
     assert list(region.contains_many(ys)) == [True, False]
 
@@ -412,9 +410,9 @@ def test_intruder_counts_match_contains_many(kind, selector):
     tuples[0] = np.array([[0.5, 0.25], [-0.5, 0.25], [-0.5, -0.75]])[:k]
     ys[0, 0] = [1.5, 0.25]  # exactly 1 from the first point, farther from the rest
     ys[1, :k] = tuples[1]
-    centers, radii, valid = nbhd.balls(tuples)
+    centers, radii, valid = nbhd.balls(tuples, 1.0, E2)
     assert valid.all()
-    counts = nbhd.count_inside(centers, radii, ys)
+    counts = np.count_nonzero(nbhd.inside(centers, radii, ys, E2), axis=1)
     regions = nbhd.build(tuples, 1.0, E2)
     brute = [int(np.count_nonzero(region.contains_many(y))) for region, y in zip(regions, ys)]
     assert list(counts) == brute
@@ -443,7 +441,7 @@ def test_validation_flags_scale_violation():
         k=2,
         r_max=1.0,
         xi_sup=10.0,
-        batch=lambda pts, r, metric: (metric.pairwise_batch(pts)[:, 0, 1] <= 0.7).astype(float),
+        batch=lambda pts, r, metric: (metric.pairwise_batch(pts, ([0], [1]))[:, 0] <= 0.7).astype(float),
     )
     report = validate_functional(bad, dim=2, trials=500, seed=4)
     assert report.scale_violations > 0

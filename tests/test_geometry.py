@@ -44,9 +44,11 @@ def test_pairwise_batch_matches_pairwise():
     rng = np.random.default_rng(4)
     m = Metric("torus", 2)
     batch = rng.random((17, 3, 2))
-    got = m.pairwise_batch(batch)
+    iu = np.triu_indices(3, 1)
+    got = m.pairwise_batch(batch, iu)
+    assert got.shape == (17, 3)
     for b in range(len(batch)):
-        assert np.allclose(got[b], m.pairwise(batch[b]))
+        assert np.array_equal(got[b], m.pairwise(batch[b])[iu])
 
 
 def test_distance_many_empty():
@@ -133,6 +135,35 @@ def test_grid_insert_remove_roundtrip():
     assert set(index.ids()) == set(pts)
     for k, p in pts.items():
         assert np.allclose(index.position(k), p)
+
+
+def test_grid_keeps_its_own_copy_of_positions():
+    # callers insert rows of arrays they later overwrite (the tracker's slots)
+    index = GridIndex(Metric("torus", 2), 0.1)
+    source = np.array([[0.05, 0.05], [0.55, 0.55]])
+    index.insert("a", source[0])
+    index.insert("b", source[1])
+    source[:] = source[::-1]
+    assert index.query(np.array([0.05, 0.05]), 0.01) == ["a"]
+    assert np.array_equal(index.position("a"), [0.05, 0.05])
+    index.remove("a")
+    assert index.query(np.array([0.05, 0.05]), 0.01) == []
+    assert index.query(np.array([0.55, 0.55]), 0.01) == ["b"]
+
+
+def test_grid_candidates_cover_the_query_ball():
+    rng = np.random.default_rng(12)
+    metric = Metric("torus", 2)
+    index = GridIndex(metric, 0.15)
+    pts = {k: rng.random(2) for k in range(80)}
+    for k, p in pts.items():
+        index.insert(k, p)
+    for _ in range(20):
+        x, rho = rng.random(2), float(rng.uniform(0.01, 0.3))
+        found = index.candidates(x, rho)
+        assert len(found) == len(set(found))
+        assert _brute(metric, pts, x, rho) <= set(found)
+        assert sorted(index.query(x, rho)) == sorted(_brute(metric, pts, x, rho))
 
 
 def test_grid_duplicate_or_missing_key():

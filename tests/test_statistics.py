@@ -149,17 +149,22 @@ def test_exclusive_flip_sequence():
 
     # a second intruder: the far pair's region holds two occupants, stays
     # excluded after the first of them dies and counts after the second
-    far = tracker._registry[frozenset({0, 1})]
+    far = frozenset({0, 1})
     ev = birth(config.next_id, [0.05, 0.05], time=0.7)
     tracker.apply_event(ev)
     config.apply_event(ev)
-    assert (tracker.value, tracker.registry_size, far.occupants) == (0.0, 6, 2)
+    assert (tracker.value, tracker.registry_size, occupants(tracker, far)) == (0.0, 6, 2)
     for pid, time, value, size in ((3, 0.8, 0.0, 3), (4, 0.9, 1.0, 1)):
         ev = death(pid, config.position(pid), time=time)
         tracker.apply_event(ev)
         config.apply_event(ev)
         assert (tracker.value, tracker.registry_size) == (value, size)
-    assert far.occupants == 0
+    assert occupants(tracker, far) == 0
+
+
+def occupants(tracker, key):
+    """The occupant count in the slot of a registered subset."""
+    return int(tracker._occupants[tracker._slot[key]])
 
 
 def test_exclusive_death_makes_no_neighbour_queries(monkeypatch):

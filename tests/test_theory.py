@@ -274,7 +274,8 @@ def test_stacked_harmonics_match_a_per_row_loop(kind, shared):
     for i in np.nonzero(vals)[0]:
         (region_a,) = nbhd.build(first[i][None], 1.0, metric)
         (region_b,) = nbhd.build(second[i][None], 1.0, metric)
-        balls_a, balls_b = nbhd.balls(first[i][None])[:2], nbhd.balls(second[i][None])[:2]
+        balls_a = nbhd.balls(first[i][None], 1.0, metric)[:2]
+        balls_b = nbhd.balls(second[i][None], 1.0, metric)[:2]
         vol_a, vol_b, vol_ab = (float(v[0]) for v in pair_volumes(*balls_a, *balls_b, 1, rng))
         base = vals[i] * volume * math.exp(-gamma * (vol_a + vol_b))
         exp_coef = np.array([(gamma * vol_ab) ** p / math.factorial(p) for p in range(max_power + 1)])
