@@ -31,7 +31,7 @@ from . import suite
 from .functionals import ConfigError, from_selector, neighborhood_from_selector
 from .process import SimulationConfig, density_from_spec, sample_stationary
 from .statistics import evaluate_statistic, sample_path
-from .theory import exclusive_mixture_model, mixture_model
+from .theory import TruncationError, exclusive_mixture_model, mixture_model
 from .verify import estimate_covariance, kolmogorov_distance
 
 
@@ -463,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         return COMMANDS[args.command](cfg, seed, out, args.jobs)
-    except ConfigError as exc:
+    except (ConfigError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -333,9 +333,6 @@ def simulate_events(
     density = config.density
 
     alive: list[int] = list(initial.ids())
-    slot_of = {pid: i for i, pid in enumerate(alive)}
-    position: dict[int, NDArray] = {pid: initial.position(pid) for pid in alive}
-    birth_time: dict[int, float] = {pid: 0.0 for pid in alive}
     born_point: dict[int, MarkedPoint] = {}
     next_id = initial.next_id
 
@@ -350,9 +347,6 @@ def simulate_events(
             pos = density.sample(rng, 1)[0]
             point = MarkedPoint(next_id, pos, t, np.nan)
             born_point[next_id] = point
-            birth_time[next_id] = t
-            position[next_id] = pos
-            slot_of[next_id] = m
             alive.append(next_id)
             next_id += 1
             events.append(Event(t, "birth", point))
@@ -362,11 +356,9 @@ def simulate_events(
             last = alive.pop()
             if last != pid:
                 alive[slot] = last
-                slot_of[last] = slot
-            del slot_of[pid]
             point = born_point.get(pid)
             if point is None:
-                point = MarkedPoint(pid, position[pid], 0.0, t)
+                point = MarkedPoint(pid, initial.position(pid), 0.0, t)
             else:
                 point.lifetime = t - point.birth
             events.append(Event(t, "death", point))

@@ -169,30 +169,18 @@ def _shared_tuples(
         first[:, 1:] = _uniform_ball(rng, budget * (k - 1), dim, r_max).reshape(
             budget, k - 1, dim
         )
+    # the second tuple's points taken from the first, or its free anchor
     if j >= 1:
-        shared = first[:, k - j :]
-        anchor = first[:, k - j]
-        fresh_count = k - j
+        head = first[:, k - j :]
         volume = vball ** (2 * k - j - 1)
     else:
-        anchor = _uniform_ball(rng, budget, dim, free_anchor_radius)
-        shared = np.zeros((budget, 0, dim))
-        fresh_count = k - 1
-        volume = vball ** (2 * k - 2) * (
-            unit_ball_volume(dim) * free_anchor_radius**dim
-        )
-        anchor_col = anchor[:, None, :]
-    if j >= 1:
-        pieces = [shared]
-    else:
-        pieces = [anchor_col]
-    if fresh_count > 0:
-        fresh = anchor[:, None, :] + _uniform_ball(
-            rng, budget * fresh_count, dim, r_max
-        ).reshape(budget, fresh_count, dim)
-        pieces.append(fresh)
-    second = np.concatenate(pieces, axis=1)
-    return first, second, volume
+        head = _uniform_ball(rng, budget, dim, free_anchor_radius)[:, None, :]
+        volume = vball ** (2 * k - 2) * (unit_ball_volume(dim) * free_anchor_radius**dim)
+    fresh_count = k - head.shape[1]
+    fresh = head[:, :1] + _uniform_ball(rng, budget * fresh_count, dim, r_max).reshape(
+        budget, fresh_count, dim
+    )
+    return first, np.concatenate([head, fresh], axis=1), volume
 
 
 def rate_integral(
@@ -308,17 +296,16 @@ class CovarianceModel:
             return cls.from_dict(json.load(handle))
 
 
-def _normalize_weights(raw: NDArray, raw_err: NDArray) -> tuple[NDArray, NDArray]:
+def _normalize_weights(raw: NDArray, cov: NDArray) -> tuple[NDArray, NDArray]:
+    """Weights ``raw / sum(raw)`` and their delta-method standard errors
+    ``sqrt(diag(J cov J^T))`` with ``J = (I - w 1^T) / sum(raw)``, given the
+    covariance ``cov`` of the raw weights."""
     total = float(raw.sum())
     if total <= 0:
         raise ConfigError("all mixture weights are zero: functional infeasible?")
     weights = raw / total
-    errs = np.zeros_like(raw)
-    for i in range(len(raw)):
-        grad = -raw[i] / total**2 * np.ones(len(raw))
-        grad[i] += 1.0 / total
-        errs[i] = math.sqrt(float(np.sum((grad * raw_err) ** 2)))
-    return weights, errs
+    jac = (np.eye(len(raw)) - weights[:, None]) / total
+    return weights, np.sqrt(np.diag(jac @ cov @ jac.T))
 
 
 def mixture_model(
@@ -344,7 +331,7 @@ def mixture_model(
         coef = gamma ** (-j) / (math.factorial(j) * math.factorial(k - j) ** 2)
         raw[j - 1] = coef * est.value
         raw_err[j - 1] = coef * est.std_error
-    weights, errs = _normalize_weights(raw, raw_err)
+    weights, errs = _normalize_weights(raw, np.diag(raw_err**2))
     return CovarianceModel(
         kind="plain",
         functional=functional.name,
@@ -371,7 +358,7 @@ def _exclusive_harmonics(
     vol_samples: int = 10_000,
     seed: int = 0,
     cross_exclusion: bool = True,
-) -> tuple[list[Optional[IntegralEstimate]], list[Optional[IntegralEstimate]]]:
+) -> tuple[NDArray, NDArray]:
     """Harmonic columns of the time kernel for one shared-point count.
 
     For a pair of tuples sharing ``shared`` points, the exact time kernel of
@@ -385,11 +372,13 @@ def _exclusive_harmonics(
     ``cross_exclusion=False`` that factor is dropped (``W = 0``), matching
     the background-only vacancy kernel.
 
-    Returns two columns indexed by the power ``p`` of ``s`` beyond
-    ``shared``: the signed expansion coefficients, and the coefficients of
-    the absolute-value kernel ``(1 + s)**W * exp(...)`` which dominate the
-    signed ones term by term (used for the truncation bound).  Index 0 is
-    None for ``shared == 0``: that coefficient is exactly the product of
+    Returns two ``(HARMONIC_GROUPS, max_power + 1)`` arrays of batch means,
+    one row per group of draws and one column per power ``p`` of ``s``
+    beyond ``shared``: the signed expansion coefficients, and the
+    coefficients of the absolute-value kernel ``(1 + s)**W * exp(...)``
+    which dominate the signed ones term by term (used for the truncation
+    bound).  A column's estimate is its mean over the rows.  Power 0 is
+    exactly 0.0 for ``shared == 0``: that coefficient is the product of
     marginals and cancels against it.
     """
     k = functional.k
@@ -443,24 +432,14 @@ def _exclusive_harmonics(
         term = coef[:, None] * exp_coef[:, : max_power + 1 - w]
         signed[hits, w:] += (-1.0) ** w * term
         absed[hits, w:] += term
-    out: list[list[Optional[IntegralEstimate]]] = []
-    for contrib in (signed, absed):
-        group_means = contrib.reshape(HARMONIC_GROUPS, budget // HARMONIC_GROUPS, -1).mean(axis=1)
-        means = group_means.mean(axis=0)
-        # shifted by one group, so a column equal in every group reads exactly 0
-        errs = (group_means - group_means[0]).std(axis=0, ddof=1) / math.sqrt(HARMONIC_GROUPS)
-        column: list[Optional[IntegralEstimate]] = []
-        for power in range(max_power + 1):
-            if shared == 0 and power == 0:
-                column.append(None)
-                continue
-            column.append(
-                IntegralEstimate(
-                    float(means[power]), float(errs[power]), "monte-carlo", budget
-                )
-            )
-        out.append(column)
-    return out[0], out[1]
+    groups = [
+        contrib.reshape(HARMONIC_GROUPS, budget // HARMONIC_GROUPS, -1).mean(axis=1)
+        for contrib in (signed, absed)
+    ]
+    if shared == 0:
+        for group_means in groups:
+            group_means[:, 0] = 0.0
+    return groups[0], groups[1]
 
 
 def exclusive_mixture_model(
@@ -480,7 +459,10 @@ def exclusive_mixture_model(
     Rate ``l`` collects the order-``l`` harmonics of the exact two-time
     kernel over shared-point counts ``j = 0..min(l, k)``: the unnormalized
     weight is ``sum_j gamma**(2k - j) * H[j][l - j] / (j! ((k-j)!)**2)``
-    with ``H`` the harmonic columns of ``_exclusive_harmonics``.
+    with ``H[j]`` the column means of ``_exclusive_harmonics``' group means.
+    Every rate of one ``j`` comes from the same draws, so the weight errors
+    take the full covariance of the raw weights from the same sums over
+    the ``HARMONIC_GROUPS`` group means (the ``j`` draws are independent).
 
     ``cross_exclusion=True`` (the default) keeps the factors by which the
     two counted subsets exclude *each other* through their regions; dropping
@@ -497,40 +479,28 @@ def exclusive_mixture_model(
     if gamma <= 0:
         raise ConfigError("gamma must be positive")
     k = functional.k
-    signed: dict[int, list[Optional[IntegralEstimate]]] = {}
-    dominating: dict[int, list[Optional[IntegralEstimate]]] = {}
+    if max_rate < k:
+        raise ConfigError(f"max_rate must be at least k = {k}")
+    # raw[l] and replicates[:, l] collect rate l; rate 0 only takes the
+    # j = 0 power-0 column, which is 0.0, and is dropped
+    raw = np.zeros(max_rate + 1)
+    replicates = np.zeros((HARMONIC_GROUPS, max_rate + 1))
+    dominating = []
     for j in range(0, k + 1):
-        signed[j], dominating[j] = _exclusive_harmonics(
-            functional,
-            nbhd,
-            density,
-            gamma,
-            j,
-            max_rate - j,
-            budget,
-            vol_samples,
-            seed + 101 * j,
-            cross_exclusion=cross_exclusion,
+        signed, absed = _exclusive_harmonics(
+            functional, nbhd, density, gamma, j, max_rate - j, budget, vol_samples,
+            seed + 101 * j, cross_exclusion=cross_exclusion,
         )
-    raw = np.zeros(max_rate)
-    raw_err = np.zeros(max_rate)
-    for l in range(1, max_rate + 1):
-        total = 0.0
-        err_sq = 0.0
-        for j in range(0, min(l, k) + 1):
-            est = signed[j][l - j]
-            if est is None:
-                continue
-            coef = gamma ** (2 * k - j) / (
-                math.factorial(j) * math.factorial(k - j) ** 2
-            )
-            total += coef * est.value
-            err_sq += (coef * est.std_error) ** 2
-        raw[l - 1] = total
-        raw_err[l - 1] = math.sqrt(err_sq)
+        coef = gamma ** (2 * k - j) / (math.factorial(j) * math.factorial(k - j) ** 2)
+        raw[j:] += coef * signed.mean(axis=0)
+        replicates[:, j:] += coef * signed
+        dominating.append(absed)
+    raw = raw[1:]
+    # the j draws are independent, so the group sums carry the covariance
+    weights, errs = _normalize_weights(
+        raw, np.atleast_2d(np.cov(replicates[:, 1:], rowvar=False)) / HARMONIC_GROUPS
+    )
     retained = float(raw.sum())
-    if retained <= 0:
-        raise ConfigError("all mixture weights are zero: functional infeasible?")
     tail = _certified_tail(
         functional, nbhd, density, gamma, dominating, max_rate, cross_exclusion
     )
@@ -539,7 +509,6 @@ def exclusive_mixture_model(
             f"certified tail {tail:.3e} exceeds tolerance "
             f"{tail_tol:.1e} x retained mass {retained:.3e}; increase max_rate"
         )
-    weights, errs = _normalize_weights(raw, raw_err)
     return CovarianceModel(
         kind="exclusive",
         functional=functional.name,
@@ -557,13 +526,14 @@ def _certified_tail(
     nbhd: NeighborhoodMap,
     density: Density,
     gamma: float,
-    dominating: dict[int, list[Optional[IntegralEstimate]]],
+    dominating: Sequence[NDArray],
     max_rate: int,
     cross_exclusion: bool,
 ) -> float:
     """Upper bound on the unnormalized mixture mass beyond ``max_rate``.
 
-    Works on the absolute-value harmonic columns, whose per-sample terms
+    Works on the absolute-value harmonic group means of each shared count
+    ``j`` (``dominating[j]``), whose per-sample terms
     ``A_p`` obey ``A_{p+1} <= A_p * a / (p + 1 - W)`` for ``p >= W`` (with
     ``a <= gamma * sup(q) * sup(vol)`` and at most ``W`` intruding points)
     and ``A_{p+1} <= (a + W) * A_p`` below that, so an observed column value
@@ -574,23 +544,21 @@ def _certified_tail(
     vol_sup = _region_volume_sup(functional, nbhd, dim)
     a_sup = gamma * density.sup_density() * vol_sup
     tail = 0.0
-    for j in range(0, k + 1):
-        column = dominating[j]
+    for j, column in enumerate(dominating):
         w_max = 2 * (k - j) if cross_exclusion else 0
-        anchor = None
-        for m in range(len(column) - 1, -1, -1):
-            est = column[m]
-            if est is not None and est.value > 0:
-                anchor = (m, est.value + 3.0 * est.std_error)
-                break
-        if anchor is None:
+        means = column.mean(axis=0)
+        # shifted by one group, so a column equal in every group reads exactly 0
+        errs = (column - column[0]).std(axis=0, ddof=1) / math.sqrt(HARMONIC_GROUPS)
+        observed = np.flatnonzero(means > 0)
+        if not len(observed):
             continue  # no observed mass in this column; nothing to continue
-        m0, bound = anchor
+        m0 = int(observed[-1])
+        bound = means[m0] + 3.0 * errs[m0]
         cutoff = max_rate - j  # powers above this were discarded
         for p in range(m0, cutoff):
             bound *= a_sup / (p + 1 - w_max) if p >= w_max else (a_sup + w_max)
-        ratio = a_sup / (cutoff + 1 - w_max)
-        if cutoff < w_max or ratio >= 1.0:
+        ratio = a_sup / (cutoff + 1 - w_max) if cutoff >= w_max else math.inf
+        if ratio >= 1.0:
             raise TruncationError(
                 "tail bound does not contract: increase max_rate "
                 f"(gamma * sup(q) * sup(vol) = {a_sup:.3g} at power {cutoff + 1})"

@@ -103,6 +103,16 @@ def test_theory_closed_form_weights(tmp_path):
     assert model["weights"][1] == pytest.approx(1.0 - w1, rel=1e-12)
 
 
+def test_theory_uncertifiable_tail_exits_2(tmp_path, capsys):
+    code = main([
+        "theory", "--out", str(tmp_path / "out"),
+        "--set", 'functional="clique:2"', "--set", 'neighborhood="balls"',
+        "--set", "max_rate=3", "--set", "budget=400",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tail bound does not contract")
+
+
 def test_theory_set_overrides(tmp_path):
     cfg = write_config(tmp_path, functional="clique:2", dim=2, gamma=1.0)
     out = tmp_path / "out"

@@ -20,6 +20,7 @@ from bdgeom.functionals import (
 from bdgeom.geometry import Metric
 from bdgeom.process import Density
 from bdgeom.theory import (
+    HARMONIC_GROUPS,
     CovarianceModel,
     IntegralEstimate,
     TruncationError,
@@ -187,42 +188,49 @@ def test_plain_mixture_rejects_bad_gamma():
 # vacancy-weighted integral of (q * vol(A & B))**p times gamma**p / p!.
 
 
+def column_estimates(group_means):
+    """Each harmonic column's mean and batch-means standard error."""
+    means = group_means.mean(axis=0)
+    # shifted by one group, so a column equal in every group reads exactly 0
+    errs = (group_means - group_means[0]).std(axis=0, ddof=1) / math.sqrt(len(group_means))
+    return means, errs
+
+
 def vacancy_columns(f, gamma, shared, max_power, **kwargs):
     signed, absed = _exclusive_harmonics(
         f, NeighborhoodMap("balls"), UNIFORM2, gamma, shared, max_power,
         cross_exclusion=False, **kwargs,
     )
-    assert all(
-        (a is None and b is None) or a.value == b.value for a, b in zip(signed, absed)
-    )
+    assert np.array_equal(signed.mean(axis=0), absed.mean(axis=0))
     return signed
 
 
 def test_vacancy_integral_matches_quadrature_oracle():
-    est = vacancy_columns(
+    means, errs = column_estimates(vacancy_columns(
         make_clique(2), 1.0, shared=1, max_power=1, budget=6_000, vol_samples=3_000, seed=2
-    )[1]
-    tol = 3.0 * est.std_error + 0.01 * KAPPA_EDGES_J1_M1 + KAPPA_BAND
-    assert abs(est.value - KAPPA_EDGES_J1_M1) < tol
+    ))
+    tol = 3.0 * errs[1] + 0.01 * KAPPA_EDGES_J1_M1 + KAPPA_BAND
+    assert abs(means[1] - KAPPA_EDGES_J1_M1) < tol
 
 
 def test_vacancy_integral_fully_shared_power_zero():
     # j = k = 1 with ball regions: every sample contributes e^(-2 gamma pi)
     gamma = 0.8
-    est = vacancy_columns(
+    means, errs = column_estimates(vacancy_columns(
         make_clique(1), gamma, shared=1, max_power=0, budget=400, vol_samples=20_000, seed=3
-    )[0]
+    ))
     exact = math.exp(-2.0 * gamma * math.pi)
-    assert abs(est.value - exact) < 4.0 * est.std_error + 1e-3
+    assert abs(means[0] - exact) < 4.0 * errs[0] + 1e-3
 
 
 def test_vacancy_batch_shared_zero_column():
     cols = vacancy_columns(
         make_clique(2), 1.0, shared=0, max_power=2, budget=4_000, vol_samples=1_000, seed=4
     )
-    assert cols[0] is None
-    assert cols[1] is not None and cols[1].value > 0
-    assert cols[1].value > 2.0 * cols[1].std_error
+    means, errs = column_estimates(cols)
+    assert np.all(cols[:, 0] == 0.0)
+    assert means[1] > 0
+    assert means[1] > 2.0 * errs[1]
 
 
 def test_harmonics_compute_volumes_in_one_stacked_call(monkeypatch):
@@ -246,10 +254,12 @@ def test_isolated_point_fully_shared_column_is_exact():
     signed, absed = _exclusive_harmonics(
         make_clique(1), NeighborhoodMap("balls"), UNIFORM2, gamma, 1, 6, budget=400, seed=3
     )
-    for p, (est, dom) in enumerate(zip(signed, absed)):
+    means, errs = column_estimates(signed)
+    dom_means, _ = column_estimates(absed)
+    for p in range(7):
         exact = math.exp(-2.0 * gamma * math.pi) * (gamma * math.pi) ** p / math.factorial(p)
-        assert est.value == pytest.approx(exact, rel=0, abs=1e-12)
-        assert est.std_error == 0.0 and dom.value == est.value
+        assert means[p] == pytest.approx(exact, rel=0, abs=1e-12)
+        assert errs[p] == 0.0 and dom_means[p] == means[p]
 
 
 @pytest.mark.parametrize("shared", [0, 1, 2])
@@ -286,17 +296,20 @@ def test_stacked_harmonics_match_a_per_row_loop(kind, shared):
         want_signed[i] = base * np.convolve(exp_coef, alt)[: max_power + 1]
         want_absed[i] = base * np.convolve(exp_coef, binom)[: max_power + 1]
     for got, want in ((signed, want_signed), (absed, want_absed)):
+        means, _ = column_estimates(got)
         for p in range(max_power + 1):
             if shared == 0 and p == 0:
-                assert got[p] is None
+                assert np.all(got[:, 0] == 0.0)
                 continue
-            assert got[p].value == pytest.approx(want[:, p].mean(), rel=1e-10, abs=1e-14)
+            assert means[p] == pytest.approx(want[:, p].mean(), rel=1e-10, abs=1e-14)
 
 
 def test_vacancy_integral_validation():
     f = make_clique(2)
     nb = NeighborhoodMap("balls")
-    assert _exclusive_harmonics(f, nb, UNIFORM2, 1.0, 0, 0, budget=10)[0] == [None]
+    signed, absed = _exclusive_harmonics(f, nb, UNIFORM2, 1.0, 0, 0, budget=10)
+    assert signed.shape == absed.shape == (HARMONIC_GROUPS, 1)
+    assert np.all(signed == 0.0) and np.all(absed == 0.0)
     with pytest.raises(ValueError):
         _exclusive_harmonics(f, nb, UNIFORM2, 1.0, shared=3, max_power=1, budget=10)
 
@@ -350,6 +363,49 @@ def test_exclusive_mixture_truncation_error():
             tail_tol=1e-12,
             seed=1,
         )
+
+
+def test_exclusive_mixture_tail_check_needs_a_contracting_cutoff():
+    # j = 0 with cross exclusion: cutoff 3 and intruder bound 4 leave the
+    # contraction ratio's denominator at 0, which must not be divided by
+    with pytest.raises(TruncationError, match="does not contract"):
+        exclusive_mixture_model(
+            make_clique(2), NeighborhoodMap("balls"), UNIFORM2, gamma=1.0,
+            budget=400, max_rate=3,
+        )
+
+
+@pytest.mark.parametrize("max_rate", [-2, 0, 2])
+def test_exclusive_mixture_rejects_max_rate_below_k(max_rate):
+    with pytest.raises(ConfigError, match="max_rate"):
+        exclusive_mixture_model(
+            make_clique(3), NeighborhoodMap("balls"), UNIFORM2, gamma=1.0,
+            budget=100, max_rate=max_rate,
+        )
+
+
+def test_single_rate_exclusive_model_has_exact_weight():
+    model = exclusive_mixture_model(
+        make_clique(1), NeighborhoodMap("balls"), UNIFORM2, gamma=0.01,
+        budget=400, max_rate=1, tail_tol=1.0, cross_exclusion=False,
+    )
+    assert model.weights.tolist() == [1.0] and model.weight_errors.tolist() == [0.0]
+
+
+def test_exclusive_weight_errors_match_the_spread_across_seeds():
+    # isolated points: the reported errors must describe the seed-to-seed
+    # spread of the weights, which share their draws across rates
+    builds = [
+        exclusive_mixture_model(
+            make_clique(1), NeighborhoodMap("balls"), UNIFORM2, gamma=1.0,
+            budget=2_000, vol_samples=8_000, max_rate=20, tail_tol=1e-3, seed=seed,
+        )
+        for seed in range(200)
+    ]
+    weights = np.array([m.weights[:10] for m in builds])
+    errors = np.array([m.weight_errors[:10] for m in builds])
+    ratio = weights.std(axis=0, ddof=1) / np.sqrt(np.mean(errors**2, axis=0))
+    assert np.all((ratio >= 0.8) & (ratio <= 1.25)), ratio
 
 
 def test_exclusive_mixture_rejects_bad_gamma():
