@@ -207,7 +207,8 @@ class IntersectionPattern:
         return out
 
     def split(self, points: NDArray) -> tuple[NDArray, ...]:
-        """Assign consecutive rows of ``points`` to blocks and assemble the
+        """Assign consecutive rows of ``points`` (axis -2, so one ``(size, d)``
+        tuple or an ``(A, size, d)`` stack) to blocks and assemble the
         subsets in label order."""
         cursor = 0
         rows: list[list[int]] = [[] for _ in range(self.n_subsets)]
@@ -215,7 +216,7 @@ class IntersectionPattern:
             for j in J:
                 rows[j - 1].extend(range(cursor, cursor + count))
             cursor += count
-        return tuple(points[r] for r in rows)
+        return tuple(points[..., r, :] for r in rows)
 
 
 @dataclass
@@ -239,7 +240,7 @@ class MeckeResult:
 
 
 def mecke_check(
-    h: Callable[[tuple[NDArray, ...], NDArray], float],
+    h: Callable[[tuple[NDArray, ...], NDArray], NDArray],
     pattern: IntersectionPattern,
     n: float,
     density: Density,
@@ -248,31 +249,34 @@ def mecke_check(
 ) -> MeckeResult:
     """Monte Carlo check of the multi-subset Mecke identity.
 
-    Left side: expected sum of ``h(subsets, all_points)`` over ordered
-    tuples of subsets of a stationary Poisson sample with the prescribed
-    intersection pattern.  Right side: ``n**size / symmetry`` times the
-    expectation of ``h`` evaluated on i.i.d. density points (split per the
-    pattern) against an independent Poisson sample augmented by them.  The
-    test function must be symmetric within each subset and bounded.
+    Left side: expected sum of ``h`` over ordered tuples of subsets of a
+    stationary Poisson sample with the prescribed intersection pattern.
+    Right side: ``n**size / symmetry`` times the expectation of ``h``
+    evaluated on i.i.d. density points (split per the pattern) against an
+    independent Poisson sample augmented by them.  ``h(subsets, all_points)``
+    scores a batch: ``subsets`` holds one ``(A, s_j, d)`` stack per subset
+    label and the result has shape ``(A,)``.  It must be symmetric within
+    each subset and bounded.
     """
     rng_lhs = np.random.default_rng((seed, 1))
     rng_rhs = np.random.default_rng((seed, 2))
     config = SimulationConfig(n=n, dim=density.dim, horizon=0.0, density=density)
-    sizes = pattern.subset_sizes()
+    counts = tuple(count for _, count in pattern.blocks)
+    rows_of: dict[int, NDArray] = {}
+
+    def scores(points: NDArray, allpts: NDArray) -> NDArray:
+        values = np.asarray(h(pattern.split(points), allpts), dtype=float)
+        if values.shape != points.shape[:1]:
+            raise ValueError(f"h must map one (A, s_j, d) stack per subset to shape (A,) = "
+                             f"{points.shape[:1]}, got shape {values.shape}")
+        return values
 
     lhs_vals = np.empty(budget)
     for b in range(budget):
-        state = sample_stationary(config, rng_lhs)
-        pts = state.positions_array()
-        ids = list(range(len(pts)))
-        total = 0.0
-        for assignment in _pattern_assignments(ids, pattern):
-            subsets = tuple(
-                pts[np.fromiter(assignment[j], dtype=int, count=sizes[j])]
-                for j in range(pattern.n_subsets)
-            )
-            total += h(subsets, pts)
-        lhs_vals[b] = total
+        pts = sample_stationary(config, rng_lhs).positions_array()
+        if len(pts) not in rows_of:
+            rows_of[len(pts)] = _assignment_rows(len(pts), counts)
+        lhs_vals[b] = scores(pts[rows_of[len(pts)]], pts).sum()
     lhs = float(lhs_vals.mean())
     lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(budget))
 
@@ -282,32 +286,24 @@ def mecke_check(
         extra = density.sample(rng_rhs, pattern.size)
         state = sample_stationary(config, rng_rhs)
         allpts = np.vstack([extra, state.positions_array()])
-        rhs_vals[b] = factor * h(pattern.split(extra), allpts)
+        rhs_vals[b] = factor * scores(extra[None], allpts)[0]
     rhs = float(rhs_vals.mean())
     rhs_se = float(rhs_vals.std(ddof=1) / math.sqrt(budget))
     return MeckeResult(lhs, lhs_se, rhs, rhs_se)
 
 
-def _pattern_assignments(ids: list[int], pattern: IntersectionPattern):
-    """Yield, per subset label, the ids assigned to it (via disjoint block
-    choices in canonical block order)."""
-    n_subsets = pattern.n_subsets
-    blocks = pattern.blocks
-
-    def rec(block_idx: int, available: list[int], acc: list[tuple[frozenset, tuple]]):
-        if block_idx == len(blocks):
-            out: list[list[int]] = [[] for _ in range(n_subsets)]
-            for J, chosen in acc:
-                for j in J:
-                    out[j - 1].extend(chosen)
-            yield out
-            return
-        J, count = blocks[block_idx]
-        for chosen in combinations(available, count):
-            remaining = [i for i in available if i not in chosen]
-            yield from rec(block_idx + 1, remaining, acc + [(J, chosen)])
-
-    yield from rec(0, ids, [])
+def _assignment_rows(m: int, counts: tuple[int, ...]) -> NDArray:
+    """Every ordered assignment of disjoint blocks of ``counts`` points out
+    of ``m``, as one ``(A, sum(counts))`` index array: ids ascend within a
+    block, and rows run in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for count in counts:
+        combos = np.array(list(combinations(range(m), count)), dtype=np.intp).reshape(-1, count)
+        width = rows.shape[1]
+        rows = np.hstack([np.repeat(rows, len(combos), axis=0), np.tile(combos, (len(rows), 1))])
+        clash = (rows[:, :width, None] == rows[:, None, width:]).any(axis=(1, 2))
+        rows = rows[~clash]
+    return rows
 
 
 # ---------------------------------------------------------------------------

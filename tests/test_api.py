@@ -17,6 +17,7 @@ REMOVED = (
     (functionals.NeighborhoodMap, "count_inside"),
     (functionals.BallUnionRegion, "contains"),
     (functionals.BallRegion, "contains"),
+    (verify, "_pattern_assignments"),
 )
 # parameters that had one value everywhere and became constants
 REMOVED_PARAMETERS = (

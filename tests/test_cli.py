@@ -222,6 +222,26 @@ def test_oracle_cmd(tmp_path, capsys):
     assert summary["pass_rate"] >= 0.95
     assert len(summary["cases"]) == 12
     assert "oracle battery pass rate" in capsys.readouterr().out
+    assert summary["threshold"] == suite.MECKE_PASS_RATE
+    cases = suite._battery_cases()
+    assert [c["test"] for c in summary["cases"]] == [case["name"] for case in cases]
+    assert [c["budget"] for c in summary["cases"]] == [case["budget"] for case in cases]
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_oracle_rejects_seeds_below_one(tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    assert main(["oracle", "--set", f"seeds={seeds}", "--out", str(out)]) == 2
+    assert "seeds >= 1" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_oracle_checks_its_draws_before_running(tmp_path, capsys):
+    # 12 cases with 3300 draws a side: 1515 seeds fit under the limit, 1516 do not
+    out = tmp_path / "out"
+    assert main(["oracle", "--set", "seeds=1516", "--out", str(out)]) == 2
+    assert "Mecke draws" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_euler_cmd(tmp_path, capsys):

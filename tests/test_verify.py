@@ -1,16 +1,18 @@
 """Tests for the verification toolbox: covariance estimation, distribution
 distances, the moment-identity oracle, and the critical-point Euler sum."""
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from bdgeom.process import Density
+from bdgeom.process import Density, SimulationConfig, sample_stationary
 from bdgeom.statistics import TimeSeries
+from bdgeom.suite import _battery_cases
 from bdgeom.theory import CovarianceModel, simulate_ou_superposition
 from bdgeom.verify import (
     IntersectionPattern,
-    _pattern_assignments,
+    _assignment_rows,
     estimate_covariance,
     euler_characteristic,
     kolmogorov_distance,
@@ -136,6 +138,10 @@ def test_pattern_bookkeeping():
     assert first.shape == (3, 3) and second.shape == (1, 3)
     # blocks are canonicalized with (1,) before (1, 2), so the shared row is last
     assert np.array_equal(second[0], rows[2])
+    # a stack of tuples splits like each of its rows
+    stack = np.arange(18.0).reshape(2, 3, 3)
+    for got, want in zip(pattern.split(stack), zip(*map(pattern.split, stack))):
+        assert np.array_equal(got, np.stack(want))
 
 
 def test_pattern_validation():
@@ -146,15 +152,62 @@ def test_pattern_validation():
 
 
 def test_pattern_assignment_counts():
-    single = IntersectionPattern.of({(1,): 2})
-    assert sum(1 for _ in _pattern_assignments(list(range(5)), single)) == 10
+    assert len(_assignment_rows(5, (2,))) == 10
     shared = IntersectionPattern.of({(1, 2): 1, (1,): 1, (2,): 1})
-    assert sum(1 for _ in _pattern_assignments(list(range(4)), shared)) == 24
+    assert len(_assignment_rows(4, tuple(c for _, c in shared.blocks))) == 24
+
+
+BATTERY_PATTERNS = sorted(
+    {IntersectionPattern.of(case["pattern"]) for case in _battery_cases()}, key=repr
+)
+
+
+@pytest.mark.parametrize("pattern", BATTERY_PATTERNS, ids=repr)
+def test_assignment_rows_match_brute_force(pattern):
+    counts = tuple(c for _, c in pattern.blocks)
+    ends = np.cumsum(counts)
+    for m in range(10):
+        # ordered tuples of distinct ids, kept when ids ascend within each block
+        expected = [
+            perm
+            for perm in permutations(range(m), pattern.size)
+            if all(list(perm[e - c:e]) == sorted(perm[e - c:e]) for c, e in zip(counts, ends))
+        ]
+        rows = _assignment_rows(m, counts)
+        assert rows.shape == (len(expected), pattern.size)
+        assert [tuple(row) for row in rows.tolist()] == expected
+
+
+@pytest.mark.parametrize("case", _battery_cases(), ids=lambda case: case["name"])
+def test_battery_h_batch_equals_row_by_row(case):
+    pattern = IntersectionPattern.of(case["pattern"])
+    density = case["density"]
+    config = SimulationConfig(n=case["n"], dim=density.dim, horizon=0.0, density=density)
+    counts = tuple(c for _, c in pattern.blocks)
+    for seed in range(3):
+        pts = sample_stationary(config, np.random.default_rng(seed)).positions_array()
+        stack = pts[_assignment_rows(len(pts), counts)]
+        batched = case["h"](pattern.split(stack), pts)
+        assert batched.shape == (len(stack),)
+        single = [case["h"](pattern.split(row[None]), pts) for row in stack]
+        assert all(value.shape == (1,) for value in single)
+        assert np.array_equal(batched, np.concatenate([np.zeros(0), *single]))
+
+
+def test_mecke_rejects_scalar_h():
+    pattern = IntersectionPattern.of({(1,): 1})
+    with pytest.raises(ValueError, match=r"shape \(A,\)"):
+        mecke_check(lambda subsets, pts: 1.0, pattern, n=5.0,
+                    density=Density("uniform", 2), budget=10, seed=0)
+
+
+def count(subsets, pts):
+    return np.ones(len(subsets[0]))
 
 
 def test_mecke_point_count():
     pattern = IntersectionPattern.of({(1,): 1})
-    res = mecke_check(lambda subsets, pts: 1.0, pattern, n=5.0,
+    res = mecke_check(count, pattern, n=5.0,
                       density=Density("uniform", 2), budget=400, seed=0)
     assert res.rhs == pytest.approx(5.0, rel=1e-12)
     assert res.rhs_se == 0.0
@@ -163,10 +216,13 @@ def test_mecke_point_count():
 
 def test_mecke_pair_count():
     pattern = IntersectionPattern.of({(1,): 2})
-    res = mecke_check(lambda subsets, pts: 1.0, pattern, n=6.0,
+    res = mecke_check(count, pattern, n=6.0,
                       density=Density("uniform", 2), budget=400, seed=1)
     assert res.rhs == pytest.approx(18.0, rel=1e-12)  # n^2 / 2
     assert res.agree
+
+
+FIRST_SECOND = ([0], [1])
 
 
 def test_mecke_edge_indicator():
@@ -175,8 +231,7 @@ def test_mecke_edge_indicator():
     r = 0.1
 
     def h(subsets, pts):
-        pair = subsets[0]
-        return 1.0 if metric.distance(pair[0], pair[1]) <= r else 0.0
+        return (metric.pairwise_batch(subsets[0], FIRST_SECOND)[:, 0] <= r).astype(float)
 
     pattern = IntersectionPattern.of({(1,): 2})
     res = mecke_check(h, pattern, n=20.0, density=density, budget=400, seed=2)
@@ -193,9 +248,9 @@ def test_mecke_shared_point_pattern():
 
     def h(subsets, pts):
         a, b = subsets
-        da = metric.distance(a[0], a[1])
-        db = metric.distance(b[0], b[1])
-        return 1.0 if max(da, db) <= r else 0.0
+        da = metric.pairwise_batch(a, FIRST_SECOND)[:, 0]
+        db = metric.pairwise_batch(b, FIRST_SECOND)[:, 0]
+        return (np.maximum(da, db) <= r).astype(float)
 
     pattern = IntersectionPattern.of({(1, 2): 1, (1,): 1, (2,): 1})
     res = mecke_check(h, pattern, n=8.0, density=density, budget=300, seed=3)
