@@ -11,9 +11,10 @@ Subcommands:
 
 Configuration comes from a JSON file; flags override file fields; the seed
 can also come from the BD_GEOM_SEED environment variable (flag > env >
-file).  All outputs are deterministic given the seed: reruns are
-byte-identical.  Exit codes: 0 success / all checks pass, 1 a check failed,
-2 invalid configuration.
+file).  A file field that no subcommand reads, or a ``--set`` key that the
+subcommand does not read, is invalid.  All outputs are deterministic given
+the seed: reruns are byte-identical.  Exit codes: 0 success / all checks
+pass, 1 a check failed, 2 invalid configuration.
 """
 from __future__ import annotations
 
@@ -50,11 +51,35 @@ def check_work(what: str, amount: float) -> None:
 
 
 def _number(value, field: str, kind=float):
-    """A numeric config value as ``kind``, or a ``ConfigError`` naming the field."""
+    """A numeric config value as ``kind``, or a ``ConfigError`` naming the
+    field.  An ``int`` field takes only whole values within float range: a
+    fraction is not truncated, and a work estimate built from it in floats
+    cannot overflow."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field {field!r} must be a number, got {value!r}")
+    if kind is int and ((isinstance(value, float) and value != number) or abs(number) > sys.float_info.max):
+        raise ConfigError(f"config field {field!r} must be a whole number within float range")
+    return number
+
+
+# config fields each command reads; all of them read the seed and the output directory
+_SIM_KEYS = {"n", "dim", "horizon", "density", "gamma", "r", "functional", "neighborhood"}
+_MODEL_KEYS = {"functional", "neighborhood", "dim", "density", "gamma", "budget", "method",
+               "vol_samples", "max_rate", "tail_tol"}
+_READS = {
+    command: keys | {"seed", "out"}
+    for command, keys in {
+        "simulate": _SIM_KEYS | {"sample_times", "replications"},
+        "theory": _MODEL_KEYS,
+        "covariance": _SIM_KEYS | _MODEL_KEYS | {"sample_times", "lags", "replications", "tolerance"},
+        "gaussianity": _SIM_KEYS | {"replications", "threshold"},
+        "oracle": {"seeds"},
+        "euler": set(),
+        "full": {"checks"},
+    }.items()
+}
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -65,10 +90,14 @@ def _load_config(path: Optional[str]) -> dict:
             cfg = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    # one file may serve several commands, so a field any of them reads is kept
+    unread = sorted(set(cfg).difference(*_READS.values()))
+    if unread:
+        raise ConfigError(f"config file {path} has fields no command reads: {unread}")
     return cfg
 
 
@@ -349,7 +378,7 @@ def cmd_oracle(cfg: dict, seed: int, out: Path, jobs: int) -> int:
         raise ConfigError("oracle mode needs seeds >= 1")
     # each case draws `budget` samples for either side of its identity
     draws = 2 * sum(case["budget"] for case in suite._battery_cases())
-    check_work("Mecke draws seeds x 2 x budgets", n_seeds * draws)
+    check_work("Mecke draws seeds x 2 x budgets", n_seeds * float(draws))
     outcomes, rate = suite.mecke_battery(seed, n_seeds)
     reports = [
         {
@@ -442,15 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
+def _apply_overrides(cfg: dict, pairs: Sequence[str], command: str) -> dict:
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=JSON, got {pair!r}")
         key, _, raw = pair.partition("=")
+        if key not in _READS[command]:
+            raise ConfigError(f"--set {key}: {command} reads no config field {key!r}")
         try:
             cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            cfg[key] = raw  # bare strings allowed
+        except ValueError:  # bare strings allowed; so is an over-long integer, kept as text
+            cfg[key] = raw
     return cfg
 
 
@@ -458,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(args.config), args.set)
+        cfg = _apply_overrides(_load_config(args.config), args.set, args.command)
         seed = _resolve_seed(args.seed, cfg)
         out = _out_dir(cfg, args.out)
         if args.jobs < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -216,68 +216,86 @@ class EventStream:
 class Configuration:
     """The alive point set at one time instant.
 
-    Points carry integer ids.  ``build_index`` attaches a uniform-grid
+    Positions live in one array indexed by point id beside a boolean alive
+    mask.  Ids are issued once, in increasing order, so ``ids()`` ascends
+    and a written row never changes.  ``build_index`` attaches a uniform-grid
     index; neighbor queries fall back to a full scan when no index exists.
     """
 
-    def __init__(self, metric: Metric, next_id: int = 0):
+    def __init__(self, metric: Metric):
         self.metric = metric
-        self._points: dict[int, NDArray] = {}
+        self._pos = np.empty((0, metric.dim))
+        self._alive = np.zeros(0, dtype=bool)
         self._grid: Optional[GridIndex] = None
-        self._next_id = next_id
+        self._next_id = 0
 
     @classmethod
     def from_points(cls, positions: NDArray, metric: Metric) -> "Configuration":
-        """Configuration holding the rows of ``positions`` with ids ``0, 1, ...``."""
-        wrapped = metric.wrap(np.array(positions, dtype=float, ndmin=2))
-        config = cls(metric, next_id=len(wrapped))
-        config._points = dict(enumerate(wrapped))
+        """Configuration holding the rows of ``positions`` (shape ``(m, d)``,
+        or one ``(d,)`` point) with ids ``0, 1, ...``."""
+        pts = np.array(positions, dtype=float, ndmin=2)
+        if pts.size == 0:  # [] has no coordinate axis
+            pts = pts.reshape(0, pts.shape[-1] or metric.dim)
+        if pts.ndim != 2 or pts.shape[1] != metric.dim:
+            raise ValueError(f"positions must have shape (m, {metric.dim}), got {np.shape(positions)}")
+        config = cls(metric)
+        config._pos = metric.wrap(pts)
+        config._alive = np.ones(len(pts), dtype=bool)
+        config._next_id = len(pts)
         return config
 
     def __len__(self) -> int:
-        return len(self._points)
+        return int(np.count_nonzero(self._alive))
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._points
+        return 0 <= pid < self._next_id and bool(self._alive[pid])
 
     @property
     def next_id(self) -> int:
         return self._next_id
 
-    def ids(self) -> Iterable[int]:
-        return self._points.keys()
+    def ids(self) -> NDArray:
+        return np.flatnonzero(self._alive)
 
     def position(self, pid: int) -> NDArray:
-        return self._points[pid]
+        if pid not in self:
+            raise KeyError(pid)
+        return self._pos[pid]
 
     def positions_array(self, pids: Optional[Sequence[int]] = None) -> NDArray:
         if pids is None:
-            pids = list(self._points.keys())
-        if len(pids) == 0:
-            return np.zeros((0, self.metric.dim))
-        return np.array([self._points[p] for p in pids])
+            return self._pos[self._alive]
+        if not all(pid in self for pid in pids):
+            raise KeyError(f"point ids not all alive: {pids!r}")
+        return self._pos[np.asarray(pids, dtype=np.intp)]
 
     def add(self, position: NDArray, pid: Optional[int] = None) -> int:
         if pid is None:
             pid = self._next_id
-        if pid in self._points:
-            raise KeyError(f"point id {pid} already alive")
-        self._next_id = max(self._next_id, pid + 1)
-        pos = self.metric.wrap(np.asarray(position, dtype=float))
-        self._points[pid] = pos
+        if pid < self._next_id:
+            raise KeyError(f"point id {pid} was already issued")
+        if pid >= len(self._alive):  # grow both arrays, at least doubling them
+            grow = max(len(self._alive), pid + 1 - len(self._alive))
+            self._pos = np.pad(self._pos, ((0, grow), (0, 0)))
+            self._alive = np.pad(self._alive, (0, grow))
+        self._pos[pid] = self.metric.wrap(np.asarray(position, dtype=float))
+        self._alive[pid] = True
+        self._next_id = pid + 1
         if self._grid is not None:
-            self._grid.insert(pid, pos)
+            self._grid.insert(pid, self._pos[pid])
         return pid
 
     def remove(self, pid: int) -> None:
-        del self._points[pid]
+        if pid not in self:
+            raise KeyError(pid)
+        self._alive[pid] = False
         if self._grid is not None:
             self._grid.remove(pid)
 
     def build_index(self, cell_size: float) -> None:
         grid = GridIndex(self.metric, cell_size)
-        for pid, pos in self._points.items():
-            grid.insert(pid, pos)
+        for pid in self.ids().tolist():
+            grid.insert(pid, self._pos[pid])
         self._grid = grid
 
     @property
@@ -287,11 +305,8 @@ class Configuration:
     def neighbors_within(self, x: NDArray, rho: float) -> list[int]:
         if self._grid is not None:
             return self._grid.query(x, rho)
-        pids = list(self._points.keys())
-        if not pids:
-            return []
-        dist = self.metric.distance_many(x, self.positions_array(pids))
-        return [p for p, dd in zip(pids, dist) if dd <= rho]
+        pids = self.ids()
+        return pids[self.metric.distance_many(x, self._pos[pids]) <= rho].tolist()
 
     def apply_event(self, event: Event) -> None:
         if event.kind == "birth":
@@ -332,7 +347,7 @@ def simulate_events(
     horizon = float(config.horizon)
     density = config.density
 
-    alive: list[int] = list(initial.ids())
+    alive: list[int] = initial.ids().tolist()
     born_point: dict[int, MarkedPoint] = {}
     next_id = initial.next_id
 
@@ -370,6 +385,16 @@ def simulate_events(
     return EventStream(events=events, horizon=horizon, initial_count=len(initial))
 
 
+def _marked_draw(config: SimulationConfig, rng: np.random.Generator) -> tuple[NDArray, NDArray, NDArray]:
+    """Positions, birth times and lifetimes of a ``sample_marked`` draw."""
+    horizon = float(config.horizon)
+    total = int(rng.poisson(config.n * (1.0 + horizon)))
+    positions = config.density.sample(rng, total)
+    at_zero = rng.random(total) < 1.0 / (1.0 + horizon)
+    births = np.where(at_zero, 0.0, rng.uniform(0.0, horizon, total))
+    return positions, births, rng.exponential(1.0, total)
+
+
 def sample_marked(
     config: SimulationConfig, rng: Optional[np.random.Generator] = None
 ) -> list[MarkedPoint]:
@@ -382,16 +407,8 @@ def sample_marked(
     """
     if rng is None:
         rng = config.rng()
-    horizon = float(config.horizon)
-    total = int(rng.poisson(config.n * (1.0 + horizon)))
-    positions = config.density.sample(rng, total)
-    at_zero = rng.random(total) < 1.0 / (1.0 + horizon)
-    births = np.where(at_zero, 0.0, rng.uniform(0.0, horizon, total))
-    lifetimes = rng.exponential(1.0, total)
-    return [
-        MarkedPoint(i, positions[i], float(births[i]), float(lifetimes[i]))
-        for i in range(total)
-    ]
+    positions, births, lifetimes = _marked_draw(config, rng)
+    return list(map(MarkedPoint, range(len(births)), positions, births.tolist(), lifetimes.tolist()))
 
 
 def slice_at(marked: Sequence[MarkedPoint], t: float, metric: Metric) -> Configuration:

@@ -118,7 +118,7 @@ class SubsetTracker:
     # -- initial enumeration ------------------------------------------------
 
     def _init_scan(self) -> None:
-        for anchor in sorted(self.config.ids()):
+        for anchor in self.config.ids().tolist():
             pids = [anchor] + [p for p in self._near(self.config.position(anchor)) if p > anchor]
             self._admit(pids, self.config.positions_array(pids), 0)
 

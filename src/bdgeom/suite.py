@@ -23,8 +23,8 @@ from .process import (
     Configuration,
     Density,
     SimulationConfig,
+    _marked_draw,
     alive_count_path,
-    sample_marked,
     sample_stationary,
     simulate_events,
 )
@@ -92,13 +92,9 @@ def _uniform_config(n: float, horizon: float, gamma: Optional[float] = None, see
 
 
 def _marked_arrays(config: SimulationConfig, rep: int) -> tuple[NDArray, NDArray, NDArray]:
-    marked = sample_marked(config, config.rng(rep))
-    if not marked:
-        return np.zeros((0, config.dim)), np.zeros(0), np.zeros(0)
-    pos = np.array([p.position for p in marked])
-    births = np.array([p.birth for p in marked])
-    ends = births + np.array([p.lifetime for p in marked])
-    return pos, births, ends
+    """Positions, births and death times of replication ``rep``'s marked draw."""
+    pos, births, lifetimes = _marked_draw(config, config.rng(rep))
+    return pos, births, births + lifetimes
 
 
 def _slice_value_matrix(

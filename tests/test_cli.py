@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,56 @@ def test_euler_cmd(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is True
     assert "euler" in capsys.readouterr().out
+
+
+
+@pytest.mark.parametrize("pair", ["reps=3", "dim=1"])
+def test_set_key_the_command_does_not_read_exits_2(tmp_path, capsys, pair):
+    out = tmp_path / "out"
+    assert main(["euler", "--set", pair, "--out", str(out)]) == 2
+    assert f"euler reads no config field {pair.split('=')[0]!r}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_config_file_key_no_command_reads_exits_2(tmp_path, capsys):
+    fields = dict(SIM_FIELDS)
+    fields["replicatons"] = fields.pop("replications")
+    cfg = write_config(tmp_path, **fields)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'replicatons'" in capsys.readouterr().err
+
+
+def test_readme_sim_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal `sim.json`:")[1].split("```json")[1].split("```")[0]
+    path = tmp_path / "sim.json"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["replications"] == json.loads(block)["replications"]
+    # the same file serves theory, which reads only some of its fields
+    assert main(["theory", "--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, pairs, field",
+    [
+        ("oracle", [f"seeds={10**400}"], "seeds"),
+        ("simulate", ["n=10", f"replications={10**400}"], "replications"),
+        ("oracle", ["seeds=1.5"], "seeds"),
+        ("theory", ["budget=2000.7"], "budget"),
+    ],
+    ids=["oracle-huge", "simulate-huge", "oracle-fraction", "theory-fraction"],
+)
+def test_integer_field_must_be_whole_and_within_float_range(tmp_path, capsys, command, pairs, field):
+    cfg = write_config(tmp_path, **SIM_FIELDS)
+    out = tmp_path / "out"
+    args = [command, "--config", cfg, "--out", str(out)]
+    for pair in pairs:
+        args += ["--set", pair]
+    assert main(args) == 2
+    assert f"config field {field!r} must be a whole number within float range" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 # -- full battery (restricted to fast checks) ------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bdgeom.functionals import ConfigError
@@ -105,6 +107,94 @@ def test_configuration_add_remove():
         config.add(np.zeros(2), pid=1)
     config.remove(1)
     assert 1 not in config and len(config) == 2
+    # ids are issued once: a dead id is never reissued
+    with pytest.raises(KeyError):
+        config.add(np.zeros(2), pid=1)
+    for dead in (config.position, config.remove, lambda pid: config.positions_array([0, pid])):
+        with pytest.raises(KeyError):
+            dead(1)
+    for unknown in (-1, 3, 10**6):
+        assert unknown not in config
+        with pytest.raises(KeyError):
+            config.positions_array([unknown])
+
+
+def test_configuration_position_views_keep_their_values():
+    config = Configuration(Metric("torus", 2))
+    config.add(np.array([0.25, 0.75]))
+    view = config.position(0)
+    for i in range(1, 100):  # grows the store several times over
+        config.add(np.full(2, i / 100.0))
+    config.remove(0)
+    assert np.array_equal(view, [0.25, 0.75])
+
+
+@st.composite
+def store_steps(draw):
+    """Add (with an automatic id or one past a gap of dead ids) and remove steps."""
+    steps = []
+    for _ in range(draw(st.integers(0, 80))):
+        kind = draw(st.sampled_from(["add", "add", "gap", "remove"]))
+        coords = draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+        steps.append((kind, coords, draw(st.integers(1, 40)), draw(st.integers(0, 10**6))))
+    return steps
+
+
+@given(st.integers(0, 5), store_steps(), st.sampled_from(["torus", "euclidean"]))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_configuration_store_matches_a_dict_model(initial, steps, kind):
+    metric = Metric(kind, 2)
+    rng = np.random.default_rng(initial)
+    start = rng.random((initial, 2))
+    plain = Configuration.from_points(start, metric)
+    indexed = Configuration.from_points(start, metric)
+    indexed.build_index(0.1)
+    model = dict(enumerate(metric.wrap(start)))
+    next_id = initial
+    for step, coords, gap, pick in steps:
+        if step == "remove" and model:
+            pid = sorted(model)[pick % len(model)]
+            for config in (plain, indexed):
+                config.remove(pid)
+            del model[pid]
+        elif step != "remove":
+            pid = next_id + (gap if step == "gap" else 0)  # gaps as slice_at leaves them
+            for config in (plain, indexed):
+                assert config.add(np.array(coords), pid=pid if step == "gap" else None) == pid
+            model[pid] = metric.wrap(np.array(coords))
+            next_id = pid + 1
+        ids = sorted(model)
+        want = np.array([model[p] for p in ids]).reshape(-1, 2)
+        x = metric.wrap(np.array(coords))
+        near = [p for p, d in zip(ids, metric.distance_many(x, want)) if d <= 0.3]
+        for config in (plain, indexed):
+            assert config.ids().tolist() == ids and len(config) == len(ids)
+            assert config.next_id == next_id
+            assert all(p in config for p in ids) and next_id not in config
+            for p in ids:
+                assert np.array_equal(config.position(p), model[p])
+            assert np.array_equal(config.positions_array(), want)
+            chosen = list(rng.permutation(ids)[: pick % 7])
+            assert np.array_equal(config.positions_array(chosen), want[np.searchsorted(ids, chosen)])
+            assert sorted(config.neighbors_within(x, 0.3)) == near
+        if ids and next_id > len(ids):
+            dead = sorted(set(range(next_id)) - set(ids))[0]
+            with pytest.raises(KeyError):
+                plain.add(np.zeros(2), pid=dead)
+
+
+def test_from_points_checks_its_shape():
+    metric = Metric("torus", 2)
+    for empty in ([], np.zeros((0, 2))):
+        config = Configuration.from_points(empty, metric)
+        assert len(config) == 0 and config.next_id == 0
+        assert config.positions_array().shape == (0, 2)
+    single = Configuration.from_points([0.25, 1.5], metric)
+    assert single.ids().tolist() == [0]
+    assert np.array_equal(single.positions_array(), [[0.25, 0.5]])
+    for bad in (np.random.default_rng(0).random((5, 3)), np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
+            Configuration.from_points(bad, metric)
 
 
 def test_neighbors_with_and_without_index_agree():

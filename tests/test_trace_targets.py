@@ -1,34 +1,54 @@
-"""The benchmark's tracer wraps layers by name; every name must resolve.
+"""The benchmark's workloads use the package by name; every use must hold.
 
 ``perfbench/workloads.trace_targets`` lists ``(owner, attribute, ...)`` for
-each wrapped layer.  A renamed layer would otherwise only show up in a
-manual ``perfbench/run.py --trace 1`` run.
+each wrapped layer, and the ``slices`` workload reads ``sample_marked``'s
+list of marked points.  A renamed layer or a changed sampler form would
+otherwise only show up in a benchmark run.
 """
 import importlib.util
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from bdgeom import functionals, geometry, process, statistics, theory, verify
+import numpy as np
+import pytest
+
+from bdgeom import functionals, geometry, process, statistics, suite, theory, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BD = SimpleNamespace(
+    functionals=functionals,
+    geometry=geometry,
+    process=process,
+    statistics=statistics,
+    theory=theory,
+    verify=verify,
+)
 
 
-def test_every_trace_target_resolves(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    bd = SimpleNamespace(
-        functionals=functionals,
-        geometry=geometry,
-        process=process,
-        statistics=statistics,
-        theory=theory,
-        verify=verify,
-    )
-    targets = workloads.trace_targets(bd)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_slices_workload_matches_the_suite_route(workloads):
+    # the benchmark's object route over sample_marked against the array draw
+    slices = workloads.Slices(BD, 3001, 1)
+    for rep in range(2):
+        pos, births, ends = suite._marked_arrays(slices.config, rep)
+        bench = slices._slices(rep, workloads._no_span)
+        assert len(bench) == len(slices.times)
+        for pts, t in zip(bench, slices.times):
+            assert np.array_equal(pts, pos[(births <= t) & (t < ends)])
+
+
+def test_every_trace_target_resolves(workloads):
+    targets = workloads.trace_targets(BD)
     assert targets
     for owner, attr, span, *_ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner!r} has no {attr!r}"
