@@ -186,41 +186,32 @@ def from_selector(selector: str) -> LocalFunctional:
 # neighborhood regions (for the exclusive statistic)
 
 
+@dataclass(frozen=True)
 class BallUnionRegion:
-    """Union of closed balls of radius ``r`` around each point of the subset."""
+    """A stack of exclusion regions, each the union of ``m`` balls: centres
+    ``(..., m, d)`` in the metric's domain and radii ``(..., m)``.  The
+    balls are closed (``balls`` regions) or open (``circumball``)."""
 
-    __slots__ = ("points", "r", "metric", "anchor", "query_radius")
+    centers: NDArray
+    radii: NDArray
+    closed: bool
+    metric: Metric
 
-    def __init__(self, points: NDArray, r: float, metric: Metric):
-        self.points = np.asarray(points, dtype=float)
-        self.r = float(r)
-        self.metric = metric
-        self.anchor = self.points[0]
-        spread = metric.distance_many(self.anchor, self.points)
-        self.query_radius = float(np.max(spread)) + self.r
-
-    def contains_many(self, ys: NDArray) -> NDArray:
-        ys = np.asarray(ys, dtype=float)
-        out = np.zeros(len(ys), dtype=bool)
-        for p in self.points:
-            out |= self.metric.distance_many(p, ys) <= self.r
-        return out
-
-
-class BallRegion:
-    """Single open ball (used for circumball neighborhoods)."""
-
-    __slots__ = ("center", "radius", "metric", "anchor", "query_radius")
-
-    def __init__(self, center: NDArray, radius: float, metric: Metric):
-        self.center = metric.wrap(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        self.metric = metric
-        self.anchor = self.center
-        self.query_radius = self.radius
+    def __getitem__(self, index) -> "BallUnionRegion":
+        """The regions selected by ``index`` over the leading axis."""
+        return BallUnionRegion(self.centers[index], self.radii[index], self.closed, self.metric)
 
     def contains_many(self, ys: NDArray) -> NDArray:
-        return self.metric.distance_many(self.center, np.asarray(ys, dtype=float)) < self.radius
+        """Whether each point of ``ys`` ``(..., n, d)`` lies in the regions,
+        with the leading shapes broadcast: ``(..., n)``.  Distances use the
+        minimal image on the torus."""
+        delta = ys[..., :, None, :] - self.centers[..., None, :, :]
+        if self.metric.kind == "torus":
+            delta = delta - np.round(delta)
+        dist = np.sqrt(np.sum(delta * delta, axis=-1))
+        limit = self.radii[..., None, :]
+        hit = dist <= limit if self.closed else dist < limit
+        return hit.any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -229,45 +220,24 @@ class NeighborhoodMap:
 
     kind: str  # "balls" | "circumball"
 
-    def build(self, points: NDArray, r: float, metric: Metric) -> list:
-        """Regions of a ``(B, k, d)`` stack of subsets, one per row; a
-        degenerate row (no circumball) gets ``None``."""
-        if self.kind == "balls":
-            return [BallUnionRegion(p, r, metric) for p in points]
-        centers, radii, valid = self.balls(points, r, metric)
-        return [
-            BallRegion(center[0], radius[0], metric) if ok else None
-            for center, radius, ok in zip(centers, radii, valid)
-        ]
+    def build(self, points: NDArray, r: float, metric: Metric) -> tuple[BallUnionRegion, NDArray]:
+        """The regions of a ``(B, k, d)`` stack of subsets at scale ``r``, and
+        a ``(B,)`` mask that is False where the circumball is degenerate.
 
-    def balls(self, points: NDArray, r: float, metric: Metric) -> tuple[NDArray, NDArray, NDArray]:
-        """The regions of a ``(B, k, d)`` stack of subsets at scale ``r`` as
-        balls: centres ``(B, m, d)`` (wrapped into the metric's domain),
-        radii ``(B, m)`` and a ``(B,)`` mask that is False where the
-        circumball is degenerate; ``m`` is ``k`` for ``balls``, 1 for
-        ``circumball``."""
+        ``balls`` gives ``k`` closed balls of radius ``r`` around the members
+        (which callers pass in the metric's domain); ``circumball`` gives
+        one open ball, the circumball, with its centre wrapped."""
         if self.kind == "balls":
-            return points, np.full(points.shape[:2], float(r)), np.ones(len(points), dtype=bool)
+            region = BallUnionRegion(points, np.full(points.shape[:2], float(r)), True, metric)
+            return region, np.ones(len(points), dtype=bool)
         # unwrap anchors each chart at the row's first point, so centers are in-chart
         ball = circumball(metric.unwrap(points))
-        return metric.wrap(ball.center)[:, None], ball.radius[:, None], ball.valid
-
-    def inside(self, centers: NDArray, radii: NDArray, ys: NDArray, metric: Metric) -> NDArray:
-        """Whether each point of ``ys`` ``(..., n, d)`` lies in the regions
-        from ``balls`` (``(..., m, d)`` centres, ``(..., m)`` radii), with
-        the leading shapes broadcast: ``(..., n)``.  Closed balls for
-        ``balls``, an open ball for ``circumball``, by the formula of
-        ``contains_many``."""
-        delta = ys[..., :, None, :] - centers[..., None, :, :]
-        if metric.kind == "torus":
-            delta = delta - np.round(delta)
-        dist = np.sqrt(np.sum(delta * delta, axis=-1))
-        limit = radii[..., None, :]
-        hit = dist <= limit if self.kind == "balls" else dist < limit
-        return hit.any(axis=-1)
+        region = BallUnionRegion(metric.wrap(ball.center)[:, None], ball.radius[:, None], False, metric)
+        return region, ball.valid
 
     def max_reach(self, functional: LocalFunctional, r: float) -> float:
-        """Upper bound on ``query_radius`` over subsets with ``f > 0``."""
+        """Upper bound, over subsets with ``f > 0``, on the distance from
+        a region's first centre to any point of the region."""
         if self.kind == "balls":
             return r * (functional.r_max + 1.0)
         rng = functional.meta.get("radius_range")
@@ -308,7 +278,7 @@ def pair_volumes(
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Volumes ``vol A``, ``vol B`` and ``vol(A & B)`` of a stack of region
     pairs, each region a union of balls: centres ``(H, m, d)`` and radii
-    ``(H, m)``, as from ``NeighborhoodMap.balls``.
+    ``(H, m)``, as in the regions from ``NeighborhoodMap.build``.
 
     Exact where a closed form exists: two single balls in any ``d`` (two
     hyperspherical caps), and unions in ``d = 1`` (intervals) and ``d = 2``

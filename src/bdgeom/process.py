@@ -270,6 +270,9 @@ class Configuration:
         return self._pos[np.asarray(pids, dtype=np.intp)]
 
     def add(self, position: NDArray, pid: Optional[int] = None) -> int:
+        position = np.asarray(position, dtype=float)
+        if position.shape != (self.metric.dim,):
+            raise ValueError(f"position must have shape ({self.metric.dim},), got {position.shape}")
         if pid is None:
             pid = self._next_id
         if pid < self._next_id:
@@ -278,7 +281,7 @@ class Configuration:
             grow = max(len(self._alive), pid + 1 - len(self._alive))
             self._pos = np.pad(self._pos, ((0, grow), (0, 0)))
             self._alive = np.pad(self._alive, (0, grow))
-        self._pos[pid] = self.metric.wrap(np.asarray(position, dtype=float))
+        self._pos[pid] = self.metric.wrap(position)
         self._alive[pid] = True
         self._next_id = pid + 1
         if self._grid is not None:

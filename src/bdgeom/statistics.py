@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
-from .functionals import ConfigError, LocalFunctional, NeighborhoodMap
+from .functionals import BallUnionRegion, ConfigError, LocalFunctional, NeighborhoodMap
 from .geometry import GridIndex, Metric, padded_radius
 from .process import Configuration, Event, EventStream, SimulationConfig, sample_stationary, simulate_events
 
@@ -62,9 +62,9 @@ class SubsetTracker:
     ``config.apply_event``.  ``replay`` does this bookkeeping.
 
     In exclusive mode the registered subsets live in slot arrays: the
-    centres ``(cap, m, d)`` and radii ``(cap, m)`` of each region as
-    balls (``NeighborhoodMap.balls``), the value ``xi`` and the
-    ``occupants`` count.  Slot ``i`` holds subset ``_keys[i]`` and
+    centres ``(cap, m, d)`` and radii ``(cap, m)`` of each region (from
+    ``NeighborhoodMap.build``), the value ``xi`` and the ``occupants``
+    count.  Slot ``i`` holds subset ``_keys[i]`` and
     ``_slot`` maps it back; an evicted slot is refilled from the end, so
     slots ``0 .. registry_size - 1`` are always the live ones.
     """
@@ -76,20 +76,11 @@ class SubsetTracker:
         r: float,
         neighborhood: Optional[NeighborhoodMap] = None,
     ):
-        if r <= 0:
-            raise ConfigError("interaction radius must be positive")
+        self.enum_radius, self.max_reach = _scale_radii(functional, r, neighborhood, config.metric)
         self.config = config
         self.f = functional
         self.r = float(r)
         self.nbhd = neighborhood
-        self.enum_radius = self.r * functional.r_max
-        self.max_reach = neighborhood.max_reach(functional, r) if neighborhood else 0.0
-        if config.metric.kind == "torus":
-            if max(self.enum_radius, self.max_reach) >= 0.5:
-                raise ConfigError(
-                    "interaction scale too large for the unit torus: "
-                    f"r * r_max = {self.enum_radius:.3g} (needs < 0.5)"
-                )
         if not config.indexed:
             config.build_index(max(self.enum_radius, self.max_reach, 1e-6))
         self._sum = KahanSum()
@@ -160,18 +151,18 @@ class SubsetTracker:
             return
         if not members:
             return
-        centers, radii, valid = self.nbhd.balls(points, self.r, self.config.metric)
+        region, valid = self.nbhd.build(points, self.r, self.config.metric)
         if not valid.all():  # a degenerate circumball has no region
             members = [m for m, ok in zip(members, valid.tolist()) if ok]
-            centers, radii, vals = centers[valid], radii[valid], vals[valid]
+            region, vals = region[valid], vals[valid]
         if not members:
             return
-        occupants = self._occupants_of(pts[must], members, centers, radii)
+        occupants = self._occupants_of(pts[must], members, region)
         first = len(self._keys)
         stop = first + len(members)
         self._reserve(stop)
-        self._centers[first:stop] = centers
-        self._radii[first:stop] = radii
+        self._centers[first:stop] = region.centers
+        self._radii[first:stop] = region.radii
         self._xi[first:stop] = vals
         self._occupants[first:stop] = occupants
         for slot, subset in enumerate(members, first):
@@ -180,20 +171,20 @@ class SubsetTracker:
             self._keys.append(key)
             for pid in subset:
                 self._member_keys.setdefault(pid, set()).add(key)
-            self._anchor_grid.insert(key, centers[slot - first, 0])
+            self._anchor_grid.insert(key, region.centers[slot - first, 0])
         for val in vals[occupants == 0].tolist():
             self._sum.add(val)
 
-    def _occupants_of(self, x: NDArray, members: list, centers: NDArray, radii: NDArray) -> NDArray:
+    def _occupants_of(self, x: NDArray, members: list, region: BallUnionRegion) -> NDArray:
         """Alive non-members inside each region of subsets that all have a
         member at ``x``, from one neighbour query around ``x``."""
-        metric = self.config.metric
         # each region lies within its centres' distance from x plus their radii
-        reach = float(np.max(metric.distance_many(x, centers.reshape(-1, len(x))) + radii.ravel()))
+        gaps = self.config.metric.distance_many(x, region.centers.reshape(-1, len(x)))
+        reach = float(np.max(gaps + region.radii.ravel()))
         others = self.config.neighbors_within(x, padded_radius(reach))
         if not others:
             return np.zeros(len(members), dtype=np.intp)
-        hit = self.nbhd.inside(centers, radii, self.config.positions_array(others), metric)
+        hit = region.contains_many(self.config.positions_array(others))
         hit &= ~(np.array(members)[:, :, None] == np.array(others)).any(axis=1)
         return np.count_nonzero(hit, axis=1)
 
@@ -279,7 +270,9 @@ class SubsetTracker:
         if not keys:
             return
         slots = np.fromiter(map(self._slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-        inside = self.nbhd.inside(self._centers[slots], self._radii[slots], y[None], self.config.metric)
+        closed = self.nbhd.kind == "balls"
+        region = BallUnionRegion(self._centers[slots], self._radii[slots], closed, self.config.metric)
+        inside = region.contains_many(y[None])
         hit = slots[inside[:, 0]]
         self._occupants[hit] += step
         for val in self._xi[hit[self._occupants[hit] == max(step, 0)]].tolist():
@@ -308,16 +301,13 @@ def evaluate_statistic(
     ``Metric.distance_many`` formula, so a pair at distance exactly ``r``
     is adjacent, as in ``BallUnionRegion.contains_many`` and the tracker's
     ``GridIndex``.  ``circumball`` regions are open balls with no degree
-    form and are tested one subset at a time.
+    form: one KD-tree query proposes the points near every circumcentre,
+    and one ``contains_many`` call over those candidate lists decides.
     """
     metric = config.metric
+    enum_radius = _scale_radii(functional, r, neighborhood, metric)[0]
     positions = config.positions_array()
     k = functional.k
-    enum_radius = r * functional.r_max
-    if metric.kind == "torus":
-        reach = neighborhood.max_reach(functional, r) if neighborhood else 0.0
-        if max(enum_radius, reach) >= 0.5:
-            raise ConfigError("interaction scale too large for the unit torus")
     n = len(positions)
     if n < k:
         return 0.0
@@ -346,17 +336,34 @@ def evaluate_statistic(
         )
         vacant = degree[members].sum(axis=1) == 2 * inner
         return float(math.fsum(vals[live][vacant]))
-    total = []
-    regions = neighborhood.build(positions[subsets[live]], r, metric)
-    for i, region in zip(live, regions):
-        if region is None:
-            continue
-        near = tree.query_ball_point(region.anchor, padded_radius(region.query_radius))
-        others = np.setdiff1d(near, subsets[i])
-        if len(others) and bool(np.any(region.contains_many(positions[others]))):
-            continue
-        total.append(float(vals[i]))
-    return float(math.fsum(total))
+    region, valid = neighborhood.build(positions[subsets[live]], r, metric)
+    live, region = live[valid], region[valid]
+    near = tree.query_ball_point(region.centers[:, 0], padded_radius(region.radii[:, 0]))
+    # the candidate lists as rows padded with -1
+    lengths = np.fromiter(map(len, near), dtype=np.intp)
+    cands = np.full((len(near), lengths.max(initial=0)), -1, dtype=np.intp)
+    cands[np.arange(cands.shape[1]) < lengths[:, None]] = np.fromiter(chain.from_iterable(near), dtype=np.intp)
+    others = (cands >= 0) & ~(cands[:, :, None] == subsets[live][:, None, :]).any(axis=2)
+    occupied = np.any(region.contains_many(positions[cands]) & others, axis=1)
+    return float(math.fsum(vals[live][~occupied]))
+
+
+def _scale_radii(
+    functional: LocalFunctional, r: float, neighborhood: Optional[NeighborhoodMap], metric: Metric
+) -> tuple[float, float]:
+    """The enumeration radius ``r * r_max`` and the regions' reach at scale
+    ``r``; a ``ConfigError`` unless ``r > 0`` (NaN fails too) and, on the
+    torus, both stay below 1/2."""
+    if not r > 0:
+        raise ConfigError(f"interaction radius must be positive, got {r!r}")
+    enum_radius = r * functional.r_max
+    reach = neighborhood.max_reach(functional, r) if neighborhood else 0.0
+    if metric.kind == "torus" and max(enum_radius, reach) >= 0.5:
+        raise ConfigError(
+            "interaction scale too large for the unit torus: "
+            f"r * r_max = {enum_radius:.3g} and reach {reach:.3g} (both need < 0.5)"
+        )
+    return enum_radius, reach
 
 
 def _metric_tree(positions: NDArray, metric: Metric) -> cKDTree:

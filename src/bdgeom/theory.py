@@ -403,13 +403,14 @@ def _exclusive_harmonics(
         qx = density.pdf_many(x)
         # x is importance-sampled from q, so one density factor cancels
         x_weight = qx ** (2 * k - shared - 1)
-    centers_a, radii_a, valid_a = nbhd.balls(first[hits], 1.0, metric)
-    centers_b, radii_b, valid_b = nbhd.balls(second[hits], 1.0, metric)
+    region_a, valid_a = nbhd.build(first[hits], 1.0, metric)
+    region_b, valid_b = nbhd.build(second[hits], 1.0, metric)
     keep = valid_a & valid_b  # a degenerate circumball has no region
     hits, qx, x_weight = hits[keep], qx[keep], x_weight[keep]
-    centers_a, radii_a = centers_a[keep], radii_a[keep]
-    centers_b, radii_b = centers_b[keep], radii_b[keep]
-    vol_a, vol_b, vol_ab = pair_volumes(centers_a, radii_a, centers_b, radii_b, vol_samples, rng)
+    region_a, region_b = region_a[keep], region_b[keep]
+    vol_a, vol_b, vol_ab = pair_volumes(
+        region_a.centers, region_a.radii, region_b.centers, region_b.radii, vol_samples, rng
+    )
     base = vals[hits] * x_weight * np.exp(-gamma * qx * (vol_a + vol_b)) * volume
     a = gamma * qx * vol_ab
     # coefficients a**p / p! of exp(a * s), via the stable running product
@@ -417,8 +418,8 @@ def _exclusive_harmonics(
         np.column_stack([np.ones(len(hits)), a[:, None] / np.arange(1.0, max_power + 1.0)]), axis=1
     )
     if cross_exclusion:
-        inside_a = nbhd.inside(centers_a, radii_a, second[hits, shared:], metric)
-        inside_b = nbhd.inside(centers_b, radii_b, first[hits, : k - shared], metric)
+        inside_a = region_a.contains_many(second[hits, shared:])
+        inside_b = region_b.contains_many(first[hits, : k - shared])
         intruders = np.count_nonzero(inside_a, axis=1) + np.count_nonzero(inside_b, axis=1)
     else:
         intruders = np.zeros(len(hits), dtype=int)

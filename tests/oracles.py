@@ -80,6 +80,25 @@ def triple_disk_area(centers: np.ndarray, xpoints: int = 1024) -> float:
     return float((hi - lo) / n / 3.0 * np.sum(weights * height))
 
 
+def ball_contains(point, center, radius: float, closed: bool, torus: bool) -> bool:
+    """Whether ``point`` lies in the ball of ``radius`` around ``center``
+    (closed or open), in Python floats; on the unit torus each coordinate
+    difference is replaced by its minimal image."""
+    delta = [float(y) - float(c) for y, c in zip(point, center)]
+    if torus:
+        delta = [d - round(d) for d in delta]
+    dist = math.sqrt(sum(d * d for d in delta))
+    return dist <= radius if closed else dist < radius
+
+
+def region_contains(point, centers, radii, closed: bool, torus: bool) -> bool:
+    """Whether ``point`` lies in the union of the balls, one ball at a time."""
+    return any(
+        ball_contains(point, center, float(radius), closed, torus)
+        for center, radius in zip(centers, radii)
+    )
+
+
 def induced_pattern_indicator(points, r: float, k: int, edges) -> float:
     """1.0 iff the closed radius-``r`` euclidean graph on the ``k`` points is
     the pattern ``edges`` under some relabelling, by trying all ``k!``."""

@@ -13,10 +13,13 @@ REMOVED = (
     (geometry, "DegenerateGeometryError"),
     (geometry.GridIndex, "cell_edge"),
     (functionals.BallUnionRegion, "bounding_box"),
-    (functionals.BallRegion, "bounding_box"),
     (functionals.NeighborhoodMap, "count_inside"),
     (functionals.BallUnionRegion, "contains"),
-    (functionals.BallRegion, "contains"),
+    (functionals, "BallRegion"),
+    (functionals.BallUnionRegion, "anchor"),
+    (functionals.BallUnionRegion, "query_radius"),
+    (functionals.NeighborhoodMap, "balls"),
+    (functionals.NeighborhoodMap, "inside"),
     (verify, "_pattern_assignments"),
 )
 # parameters that had one value everywhere and became constants

@@ -466,6 +466,14 @@ def test_wrong_kind_of_value_exits_2(tmp_path, capsys, field, value):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["NaN", "0", "-0.1"])
+def test_nonpositive_radius_exits_2(tmp_path, capsys, r):
+    out = tmp_path / "out"
+    assert main(["simulate", "--set", "n=20", "--set", f"r={r}", "--out", str(out)]) == 2
+    assert "interaction radius must be positive" in capsys.readouterr().err
+    assert not (out / "paths.csv").exists()
+
+
 def test_bad_jobs(tmp_path):
     cfg = write_config(tmp_path, **SIM_FIELDS)
     assert main(["simulate", "--config", cfg, "--jobs", "0"]) == 2

@@ -11,11 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdgeom.functionals import NeighborhoodMap, make_clique, make_subgraph
+from bdgeom.functionals import LocalFunctional, NeighborhoodMap, make_clique, make_morse, make_subgraph
 from bdgeom.geometry import Metric
 from bdgeom.process import Configuration, Event, MarkedPoint
 from bdgeom.statistics import INITIAL_SLOTS, SubsetTracker, count_pairs_within, evaluate_statistic
 from bdgeom.suite import _builtin_pairs
+from oracles import ball_contains, region_contains
 
 METRICS = (Metric("torus", 2), Metric("euclidean", 2))
 # balls around subgraph:3 reach 3r, which must stay below half the torus
@@ -135,16 +136,22 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
 
 def assert_occupant_counts(tracker, config):
     """Each registered subset's slot holds the brute-force count of alive
-    non-members inside its region, rebuilt from the members' positions."""
+    non-members inside its region, rebuilt from the members' positions and
+    counted by the containment oracle."""
     assert len(tracker._slot) == tracker.registry_size
     alive = list(config.ids())
+    torus = config.metric.kind == "torus"
     for key, slot in tracker._slot.items():
         assert tracker._keys[slot] == key
         members = sorted(key)
-        (region,) = tracker.nbhd.build(config.positions_array(members)[None], tracker.r, config.metric)
-        others = [p for p in alive if p not in key]
-        inside = region.contains_many(config.positions_array(others)) if others else []
-        assert tracker._occupants[slot] == np.count_nonzero(inside), members
+        region, _ = tracker.nbhd.build(config.positions_array(members)[None], tracker.r, config.metric)
+        closed = tracker.nbhd.kind == "balls"
+        count = sum(
+            region_contains(config.position(p), region.centers[0], region.radii[0], closed, torus)
+            for p in alive
+            if p not in key
+        )
+        assert tracker._occupants[slot] == count, members
 
 
 def test_registry_slots_survive_eviction_and_growth():
@@ -174,3 +181,47 @@ def test_registry_slots_survive_eviction_and_growth():
         step(Event(2.0 + i, "birth", newcomer), 98.0 - i, 100 + i)
     # the survivor's death frees the newcomer beside it
     step(Event(6.0, "death", MarkedPoint(42, config.position(42), 0.0, 1.0)), 97.0, 101)
+
+
+def test_stacked_circumball_evaluation_matches_the_oracle_on_the_seam():
+    """The evaluator's one stacked circumball test, row by row against the
+    containment oracle, on rows across the torus seam: a pair with no other
+    point near, a crowded pair, a coincident pair (no circumball) and a pair
+    with a third point exactly on its circle (open ball: not inside)."""
+    metric, r = METRICS[0], 0.1
+    pts = np.array([
+        [0.98, 0.3], [0.04, 0.3],  # alone
+        [0.9375, 0.75], [0.0625, 0.75], [0.0, 0.75], [0.99, 0.74], [0.02, 0.76], [0.995, 0.72],
+        [0.5, 0.5], [0.5, 0.5],  # coincident
+        [0.96875, 0.125], [0.09375, 0.125], [0.03125, 0.1875],  # the last on the first two's circle
+    ])
+    config = Configuration.from_points(pts, metric)
+    nb = NeighborhoodMap("circumball")
+    # scores every pair within 2r, the coincident one too, whose region is degenerate
+    near = LocalFunctional(
+        "near:2", 2, 2.0, 1.0,
+        lambda p, r, m: (m.pairwise_batch(p, ([0], [1]))[:, 0] <= 2.0 * r).astype(float),
+        meta={"radius_range": (0.0, 1.0)},
+    )
+    for f in (make_morse(1), near):
+        want, kinds = 0.0, set()
+        for pair in combinations(range(len(pts)), 2):
+            value = f(pts[list(pair)], r, metric)
+            region, valid = nb.build(pts[list(pair)][None], r, metric)
+            if not valid[0]:
+                kinds.add("invalid")
+            if value == 0.0 or not valid[0]:
+                continue
+            center, radius = region.centers[0, 0], float(region.radii[0, 0])
+            others = [pts[p] for p in range(len(pts)) if p not in pair]
+            inside = sum(ball_contains(y, center, radius, False, True) for y in others)
+            if inside == 0:
+                kinds.add("alone")
+            if inside >= 3:
+                kinds.add("crowded")
+            if any(ball_contains(y, center, radius, True, True) for y in others) and not inside:
+                kinds.add("on circle")
+            want += value * (inside == 0)
+        assert {"alone", "crowded", "invalid", "on circle"} <= kinds
+        assert evaluate_statistic(config, f, r, nb) == want
+        assert SubsetTracker(config, f, r, nb).value == want

@@ -9,7 +9,6 @@ import pytest
 
 from bdgeom import functionals
 from bdgeom.functionals import (
-    BallRegion,
     BallUnionRegion,
     ConfigError,
     LocalFunctional,
@@ -30,6 +29,7 @@ from oracles import (
     induced_pattern_indicator,
     interval_union_length,
     lens_area,
+    region_contains,
     triple_disk_area,
 )
 
@@ -234,38 +234,66 @@ def test_selector_rejects_garbage(bad):
 
 
 def test_ball_union_region_membership():
-    region = BallUnionRegion(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.5, E2)
+    stack, _ = NeighborhoodMap("balls").build(np.array([[[0.0, 0.0], [1.0, 0.0]]]), 0.5, E2)
+    region = stack[0]
+    assert region.closed and np.array_equal(region.radii, [0.5, 0.5])
     on_axis = np.array([[1.4, 0.0], [1.5, 0.0], [1.6, 0.0]])
     assert list(region.contains_many(on_axis)) == [True, True, False]  # closed boundary
-    assert region.query_radius == pytest.approx(1.5)
     ys = np.array([[0.2, 0.1], [0.9, 0.3], [0.5, 0.49], [2.0, 2.0]])
     assert list(region.contains_many(ys)) == [True, True, False, False]
 
 
 def test_ball_union_region_wraps_on_torus():
-    region = BallUnionRegion(np.array([[0.98, 0.5]]), 0.1, T2)
+    region = BallUnionRegion(np.array([[0.98, 0.5]]), np.array([0.1]), True, T2)
     assert list(region.contains_many(np.array([[0.02, 0.5]]))) == [True]
 
 
-def test_ball_region_is_open():
-    region = BallRegion(np.array([0.0, 0.0]), 1.0, E2)
+def test_circumball_region_is_open():
+    region = BallUnionRegion(np.array([[0.0, 0.0]]), np.array([1.0]), False, E2)
     assert list(region.contains_many(np.array([[0.99, 0.0], [1.0, 0.0]]))) == [True, False]
     ys = np.array([[0.0, 0.5], [0.0, 1.0]])
     assert list(region.contains_many(ys)) == [True, False]
 
 
+@pytest.mark.parametrize("closed", [True, False])
+def test_contains_many_broadcasts_and_matches_the_oracle(closed):
+    # regions straddling the torus seam, against shared and per-row points;
+    # some points sit exactly on a sphere
+    rng = np.random.default_rng(41)
+    centers = np.mod(rng.uniform(-0.1, 0.1, (12, 3, 2)), 1.0)
+    radii = rng.uniform(0.02, 0.1, (12, 3))
+    radii[:, 0] = 0.0625
+    centers[:, 0] = [0.0, 0.5]
+    region = BallUnionRegion(centers, radii, closed, T2)
+    shared = np.mod(rng.uniform(-0.15, 0.15, (30, 2)), 1.0)
+    shared[:3] = [[0.9375, 0.5], [0.0625, 0.5], [0.0, 0.5625]]  # on the first sphere
+    rows = np.mod(rng.uniform(-0.15, 0.15, (12, 30, 2)), 1.0)
+    for ys in (shared, rows):
+        got = region.contains_many(ys)
+        assert got.shape == (12, 30)
+        for i in range(12):
+            row = ys if ys.ndim == 2 else ys[i]
+            want = [region_contains(y, centers[i], radii[i], closed, True) for y in row]
+            assert list(got[i]) == want
+    # the first balls alone, with one more leading axis
+    first = BallUnionRegion(centers[:, None, :1], radii[:, None, :1], closed, T2)
+    on_sphere = first.contains_many(shared[:3])
+    assert on_sphere.shape == (12, 1, 3)
+    assert on_sphere.all() if closed else not on_sphere.any()
+
+
 def test_circumball_neighborhood_build():
     nbhd = NeighborhoodMap("circumball")
-    region, coincident = nbhd.build(
+    region, valid = nbhd.build(
         np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]]), 0.6, E2
     )
-    assert isinstance(region, BallRegion)
-    assert np.allclose(region.center, [0.5, 0.0])
-    assert region.radius == pytest.approx(0.5)
+    assert not region.closed and region.centers.shape == (2, 1, 2)
+    assert np.allclose(region.centers[0, 0], [0.5, 0.0])
+    assert region.radii[0, 0] == pytest.approx(0.5)
     # degenerate subsets have no region
-    assert coincident is None
+    assert list(valid) == [True, False]
     collinear = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
-    assert nbhd.build(collinear, 0.6, E2) == [None]
+    assert list(nbhd.build(collinear, 0.6, E2)[1]) == [False]
 
 
 def test_circumball_build_on_torus_anchors_each_row():
@@ -273,12 +301,14 @@ def test_circumball_build_on_torus_anchors_each_row():
     rng = np.random.default_rng(12)
     stack = np.mod(rng.random((20, 2, 2)) * 0.1 - 0.05, 1.0)
     nbhd = NeighborhoodMap("circumball")
-    regions = nbhd.build(stack, 0.1, T2)
-    for row, region in zip(stack, regions):
-        (alone,) = nbhd.build(row[None], 0.1, T2)
-        assert np.array_equal(region.center, alone.center)
-        assert region.radius == alone.radius
-        assert np.allclose(T2.distance_many(region.center, row), region.radius, atol=1e-12)
+    region, _ = nbhd.build(stack, 0.1, T2)
+    for i, row in enumerate(stack):
+        alone, _ = nbhd.build(row[None], 0.1, T2)
+        assert np.array_equal(region.centers[i], alone.centers[0])
+        assert np.array_equal(region.radii[i], alone.radii[0])
+        center, radius = region.centers[i, 0], region.radii[i, 0]
+        assert np.all((0.0 <= center) & (center < 1.0))
+        assert np.allclose(T2.distance_many(center, row), radius, atol=1e-12)
 
 
 def test_max_reach_bounds():
@@ -400,7 +430,7 @@ def test_unequal_circumballs_match_the_two_radius_lens():
 
 
 @pytest.mark.parametrize("kind, selector", [("balls", "clique:3"), ("circumball", "morse:1")])
-def test_intruder_counts_match_contains_many(kind, selector):
+def test_intruder_counts_match_the_oracle(kind, selector):
     nbhd = NeighborhoodMap(kind)
     k = from_selector(selector).k
     rng = np.random.default_rng(26)
@@ -410,11 +440,15 @@ def test_intruder_counts_match_contains_many(kind, selector):
     tuples[0] = np.array([[0.5, 0.25], [-0.5, 0.25], [-0.5, -0.75]])[:k]
     ys[0, 0] = [1.5, 0.25]  # exactly 1 from the first point, farther from the rest
     ys[1, :k] = tuples[1]
-    centers, radii, valid = nbhd.balls(tuples, 1.0, E2)
+    region, valid = nbhd.build(tuples, 1.0, E2)
     assert valid.all()
-    counts = np.count_nonzero(nbhd.inside(centers, radii, ys, E2), axis=1)
-    regions = nbhd.build(tuples, 1.0, E2)
-    brute = [int(np.count_nonzero(region.contains_many(y))) for region, y in zip(regions, ys)]
+    counts = np.count_nonzero(region.contains_many(ys), axis=1)
+    if kind == "balls":  # the balls come from the tuples themselves
+        assert np.array_equal(region.centers, tuples) and np.all(region.radii == 1.0)
+    brute = [
+        sum(region_contains(y, region.centers[i], region.radii[i], kind == "balls", False) for y in ys[i])
+        for i in range(len(ys))
+    ]
     assert list(counts) == brute
     if kind == "balls":
         assert counts[0] >= 1  # closed balls keep the point at distance exactly 1

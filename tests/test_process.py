@@ -183,6 +183,15 @@ def test_configuration_store_matches_a_dict_model(initial, steps, kind):
                 plain.add(np.zeros(2), pid=dead)
 
 
+def test_configuration_add_checks_its_shape():
+    config = Configuration.from_points(np.array([[0.1, 0.2]]), Metric("torus", 2))
+    for bad, shape in ((0.5, r"\(\)"), (np.zeros(3), r"\(3,\)"), (np.zeros((1, 2)), r"\(1, 2\)")):
+        with pytest.raises(ValueError, match=r"shape \(2,\), got " + shape):
+            config.add(bad)
+    assert len(config) == 1 and config.next_id == 1
+    assert config.add([0.25, 1.5]) == 1 and np.array_equal(config.position(1), [0.25, 0.5])
+
+
 def test_from_points_checks_its_shape():
     metric = Metric("torus", 2)
     for empty in ([], np.zeros((0, 2))):

@@ -82,10 +82,13 @@ def test_tracker_exclusive_isolated_points():
     assert tracker.value == 1.0
 
 
-def test_tracker_rejects_nonpositive_radius():
-    config = Configuration.from_points(np.array([[0.5, 0.5]]), TORUS)
-    with pytest.raises(ConfigError):
-        SubsetTracker(config, make_clique(2), 0.0)
+@pytest.mark.parametrize("r", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("nb", [None, NeighborhoodMap("balls")])
+def test_tracker_and_evaluator_share_one_scale_check(r, nb):
+    config = Configuration.from_points(np.array([[0.1, 0.1], [0.15, 0.1], [0.6, 0.6]]), TORUS)
+    for run in (SubsetTracker, evaluate_statistic):
+        with pytest.raises(ConfigError, match="interaction radius must be positive"):
+            run(config, make_clique(2), r, nb)
 
 
 def test_tracker_torus_scale_guard():

@@ -35,6 +35,7 @@ from bdgeom.theory import (
     statistic_mean_variance,
     unit_ball_volume,
 )
+from oracles import region_contains
 
 UNIFORM2 = Density("uniform", 2)
 
@@ -266,7 +267,7 @@ def test_isolated_point_fully_shared_column_is_exact():
 @pytest.mark.parametrize("kind", ["balls", "circumball"])
 def test_stacked_harmonics_match_a_per_row_loop(kind, shared):
     # reference: one tuple pair at a time, regions from build, intruders from
-    # contains_many, and the (1 -+ s)**W product by np.convolve
+    # the brute-force containment oracle, and the (1 -+ s)**W product by np.convolve
     f = make_clique(2) if kind == "balls" else make_morse(1)
     nbhd = NeighborhoodMap(kind)
     gamma, max_power, budget, seed = 1.3, 5, 400, 7
@@ -282,15 +283,17 @@ def test_stacked_harmonics_match_a_per_row_loop(kind, shared):
     want_signed = np.zeros((budget, max_power + 1))
     want_absed = np.zeros((budget, max_power + 1))
     for i in np.nonzero(vals)[0]:
-        (region_a,) = nbhd.build(first[i][None], 1.0, metric)
-        (region_b,) = nbhd.build(second[i][None], 1.0, metric)
-        balls_a = nbhd.balls(first[i][None], 1.0, metric)[:2]
-        balls_b = nbhd.balls(second[i][None], 1.0, metric)[:2]
-        vol_a, vol_b, vol_ab = (float(v[0]) for v in pair_volumes(*balls_a, *balls_b, 1, rng))
+        region_a, _ = nbhd.build(first[i][None], 1.0, metric)
+        region_b, _ = nbhd.build(second[i][None], 1.0, metric)
+        vols = pair_volumes(region_a.centers, region_a.radii, region_b.centers, region_b.radii, 1, rng)
+        vol_a, vol_b, vol_ab = (float(v[0]) for v in vols)
         base = vals[i] * volume * math.exp(-gamma * (vol_a + vol_b))
         exp_coef = np.array([(gamma * vol_ab) ** p / math.factorial(p) for p in range(max_power + 1)])
-        w = int(np.count_nonzero(region_a.contains_many(second[i, shared:])))
-        w += int(np.count_nonzero(region_b.contains_many(first[i, : f.k - shared])))
+        w = sum(
+            region_contains(y, region.centers[0], region.radii[0], kind == "balls", False)
+            for region, ys in ((region_a, second[i, shared:]), (region_b, first[i, : f.k - shared]))
+            for y in ys
+        )
         binom = np.array([math.comb(w, n) for n in range(w + 1)], dtype=float)
         alt = binom * (-1.0) ** np.arange(w + 1)
         want_signed[i] = base * np.convolve(exp_coef, alt)[: max_power + 1]

@@ -3,7 +3,8 @@
 ``perfbench/workloads.trace_targets`` lists ``(owner, attribute, ...)`` for
 each wrapped layer, and the ``slices`` workload reads ``sample_marked``'s
 list of marked points.  A renamed layer or a changed sampler form would
-otherwise only show up in a benchmark run.
+otherwise only show up in a benchmark run, and a layer that its callers
+no longer reach would read 0 there.
 """
 import importlib.util
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from bdgeom import functionals, geometry, process, statistics, suite, theory, verify
+from bdgeom.functionals import NeighborhoodMap, make_clique, make_morse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BD = SimpleNamespace(
@@ -52,3 +54,37 @@ def test_every_trace_target_resolves(workloads):
     assert targets
     for owner, attr, span, *_ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner!r} has no {attr!r}"
+
+
+def _exclusive_replay():
+    config = process.SimulationConfig(n=60, dim=2, horizon=1.0, density=process.Density("uniform", 2))
+    statistics.sample_path(config, make_clique(1), [0.5, 1.0], 0.08, NeighborhoodMap("balls"))
+
+
+def _circumball_evaluation():
+    points = np.random.default_rng(5).random((60, 2))
+    config = process.Configuration.from_points(points, geometry.Metric("torus", 2))
+    statistics.evaluate_statistic(config, make_morse(1), 0.08, NeighborhoodMap("circumball"))
+
+
+def _exclusive_model():
+    theory.exclusive_mixture_model(
+        make_clique(1), NeighborhoodMap("balls"), process.Density("uniform", 2), 1.0,
+        budget=200, max_rate=8, tail_tol=0.5, seed=0,
+    )
+
+
+@pytest.mark.parametrize("route", [_exclusive_replay, _circumball_evaluation, _exclusive_model])
+def test_region_targets_trace_real_calls(workloads, route):
+    from spans import SpanTable, Tracer
+
+    tracer = Tracer()
+    for owner, attr, name, units in workloads.trace_targets(BD):
+        tracer.wrap(owner, attr, name, units)
+    try:
+        route()
+    finally:
+        tracer.restore()
+    table = SpanTable(tracer)
+    for name in ("functionals.NeighborhoodMap.build", "functionals.BallUnionRegion.contains_many"):
+        assert table.calls(name) > 0, name
