@@ -31,7 +31,7 @@ import numpy as np
 from . import suite
 from .functionals import ConfigError, from_selector, neighborhood_from_selector
 from .process import SimulationConfig, density_from_spec, sample_stationary
-from .statistics import evaluate_statistic, sample_path
+from .statistics import _scale_radii, evaluate_statistic, sample_path
 from .theory import TruncationError, exclusive_mixture_model, mixture_model
 from .verify import estimate_covariance, kolmogorov_distance
 
@@ -200,6 +200,9 @@ def _check_paths(cfg: dict, seed: int, times: np.ndarray, reps: int) -> None:
     config = _sim_config(cfg, seed)
     check_work("simulated events n(1 + 2T) x replications", config.n * (1.0 + 2.0 * config.horizon) * reps)
     check_work("path samples", float(len(times)) * reps)
+    functional = from_selector(cfg.get("functional", "clique:2"))
+    nbhd = neighborhood_from_selector(cfg.get("neighborhood", "none"))
+    _scale_radii(functional, _radius(cfg, config), nbhd, config.metric)
 
 
 def _simulate_paths(cfg: dict, seed: int, times: np.ndarray, reps: int, jobs: int) -> np.ndarray:

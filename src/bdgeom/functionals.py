@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import GEOM_TOL, Metric, circumball, unit_ball_volume
+from .geometry import GEOM_TOL, Circumball, Metric, circumball, unit_ball_volume
 
 
 class ConfigError(ValueError):
@@ -32,8 +32,15 @@ class LocalFunctional:
 
     ``batch`` scores a ``(B, k, d)`` stack of subsets at scale ``r`` under
     a metric and returns the ``(B,)`` values.  It is the one route through
-    which the tracker, the evaluator and the theory score subsets; calling
-    the functional on one ``(k, d)`` subset scores a batch of one.
+    which the evaluator, the theory and the tracker score subsets, except
+    the tracker's ``circumball`` rows, which ``NeighborhoodMap.score``
+    scores with the next field; calling the functional on one ``(k, d)``
+    subset scores a batch of one.
+
+    ``from_circumball``, set by functionals that are functions of their
+    subsets' circumballs (``morse``), scores the ``(B,)`` rows of a
+    ``Circumball`` at scale ``r``; their ``batch`` is that rule applied
+    to the circumballs of the stack.
     """
 
     name: str
@@ -42,6 +49,7 @@ class LocalFunctional:
     xi_sup: float
     batch: Callable[[NDArray, float, Metric], NDArray]
     meta: dict = field(default_factory=dict)
+    from_circumball: Optional[Callable[[Circumball, float], NDArray]] = None
 
     def __call__(self, points: NDArray, r: float, metric: Metric) -> float:
         return float(self.batch(np.asarray(points, dtype=float)[None], r, metric)[0])
@@ -140,10 +148,12 @@ def make_morse(index: int, radius_range: tuple[float, float] = (0.0, 1.0)) -> Lo
     if not (0.0 <= lo < hi):
         raise ConfigError("radius range must satisfy 0 <= lo < hi")
 
-    def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
-        ball = circumball(metric.unwrap(points))
+    def from_circumball(ball: Circumball, r: float) -> NDArray:
         hit = ball.valid & ball.center_in_simplex & (lo * r < ball.radius) & (ball.radius <= hi * r)
         return hit.astype(float)
+
+    def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
+        return from_circumball(circumball(metric.unwrap(points)), r)
 
     return LocalFunctional(
         name=f"morse:{index}",
@@ -153,6 +163,7 @@ def make_morse(index: int, radius_range: tuple[float, float] = (0.0, 1.0)) -> Lo
         xi_sup=1.0,
         batch=batch,
         meta={"radius_range": (lo, hi)},
+        from_circumball=from_circumball,
     )
 
 
@@ -207,8 +218,8 @@ class BallUnionRegion:
         minimal image on the torus."""
         delta = ys[..., :, None, :] - self.centers[..., None, :, :]
         if self.metric.kind == "torus":
-            delta = delta - np.round(delta)
-        dist = np.sqrt(np.sum(delta * delta, axis=-1))
+            delta -= delta.round()
+        dist = np.sqrt((delta * delta).sum(axis=-1))
         limit = self.radii[..., None, :]
         hit = dist <= limit if self.closed else dist < limit
         return hit.any(axis=-1)
@@ -220,20 +231,45 @@ class NeighborhoodMap:
 
     kind: str  # "balls" | "circumball"
 
-    def build(self, points: NDArray, r: float, metric: Metric) -> tuple[BallUnionRegion, NDArray]:
+    def build(
+        self, points: NDArray, r: float, metric: Metric, ball: Optional[Circumball] = None
+    ) -> tuple[BallUnionRegion, NDArray]:
         """The regions of a ``(B, k, d)`` stack of subsets at scale ``r``, and
         a ``(B,)`` mask that is False where the circumball is degenerate.
 
         ``balls`` gives ``k`` closed balls of radius ``r`` around the members
         (which callers pass in the metric's domain); ``circumball`` gives
-        one open ball, the circumball, with its centre wrapped."""
+        one open ball, the circumball, with its centre wrapped.  ``ball``
+        passes the stack's circumballs where the caller has them."""
         if self.kind == "balls":
             region = BallUnionRegion(points, np.full(points.shape[:2], float(r)), True, metric)
             return region, np.ones(len(points), dtype=bool)
-        # unwrap anchors each chart at the row's first point, so centers are in-chart
-        ball = circumball(metric.unwrap(points))
+        if ball is None:
+            # unwrap anchors each chart at the row's first point, so centers are in-chart
+            ball = circumball(metric.unwrap(points))
         region = BallUnionRegion(metric.wrap(ball.center)[:, None], ball.radius[:, None], False, metric)
         return region, ball.valid
+
+    def score(
+        self, functional: LocalFunctional, points: NDArray, r: float, metric: Metric
+    ) -> tuple[NDArray, NDArray, BallUnionRegion]:
+        """The rows of a ``(B, k, d)`` stack of subsets that count, with a
+        nonzero value and a region: their indices, values and regions.
+
+        For ``circumball`` regions and a functional with ``from_circumball``,
+        each row's one circumball both scores it and gives its region;
+        otherwise ``batch`` scores and ``build`` builds the scored rows."""
+        ball = None
+        if self.kind == "circumball" and functional.from_circumball is not None:
+            ball = circumball(metric.unwrap(points))
+            vals = functional.from_circumball(ball, r)
+        else:
+            vals = functional.batch(points, r, metric)
+        live = np.flatnonzero(vals)
+        region, valid = self.build(points[live], r, metric, None if ball is None else ball[live])
+        if not valid.all():  # a degenerate circumball has no region
+            live, region = live[valid], region[valid]
+        return live, vals[live], region
 
     def max_reach(self, functional: LocalFunctional, r: float) -> float:
         """Upper bound, over subsets with ``f > 0``, on the distance from

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Literal
+from typing import Hashable, Iterable, Literal, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,8 +62,10 @@ class Metric:
             return np.zeros(0)
         delta = pts - np.asarray(x, dtype=float)
         if self.kind == "torus":
-            delta = delta - np.round(delta)
-        return np.sqrt(np.sum(delta * delta, axis=1))
+            delta -= delta.round()
+        # array methods: the arithmetic of np.round and np.sum without their
+        # wrappers' per-call cost, which dominates on the few rows of one event
+        return np.sqrt((delta * delta).sum(axis=1))
 
     def pairwise(self, points: NDArray) -> NDArray:
         """Full pairwise distance matrix for the rows of ``points``."""
@@ -84,8 +86,8 @@ class Metric:
         pts = np.asarray(points, dtype=float)
         delta = pts[:, pairs[0]] - pts[:, pairs[1]]
         if self.kind == "torus":
-            delta = delta - np.round(delta)
-        return np.sqrt(np.sum(delta * delta, axis=2))
+            delta -= delta.round()
+        return np.sqrt((delta * delta).sum(axis=2))
 
     def unwrap(self, points: NDArray) -> NDArray:
         """Euclidean representatives of torus point sets of diameter < 1/2.
@@ -116,13 +118,15 @@ class Metric:
 
 
 class GridIndex:
-    """Uniform-grid spatial index over identified points.
+    """Uniform-grid index of keys by cell.
 
     Cells are cubes of edge ``cell_size`` (on the torus the edge is rounded
-    down to ``1/m`` for an integer ``m`` so the grid tiles the cube).  A
-    radius-``rho`` query scans the block of cells that covers the ball of
-    radius ``rho`` and then filters candidates by exact distance, so query
-    results are exact for every radius; ``cell_size`` only affects speed.
+    down to ``1/m`` for an integer ``m`` so the grid tiles the cube).  The
+    index keeps each key's cell and the keys of each cell, and no
+    positions: ``candidates`` lists the keys in the block of cells that
+    covers a ball, and ``query`` filters them by exact distance against
+    the caller's position array, so its results are exact for every
+    radius; ``cell_size`` only affects speed.
     """
 
     def __init__(self, metric: Metric, cell_size: float):
@@ -136,39 +140,37 @@ class GridIndex:
             self._cells_per_axis = 0  # unbounded
             self._edge = float(cell_size)
         self._cells: dict[tuple[int, ...], list[Hashable]] = {}
-        self._positions: dict[Hashable, NDArray] = {}
+        self._cell: dict[Hashable, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._cell)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._positions
+        return key in self._cell
 
     def ids(self) -> Iterable[Hashable]:
-        return self._positions.keys()
+        return self._cell.keys()
 
-    def position(self, key: Hashable) -> NDArray:
-        return self._positions[key]
-
-    def _cell_of(self, x: NDArray) -> tuple[int, ...]:
-        # per coordinate on Python floats: the same arithmetic as numpy's,
-        # without its per-call overhead on a d-vector
-        coords = [math.floor(c / self._edge) for c in x.tolist()]
+    def insert(self, keys: Sequence[Hashable], points: NDArray) -> None:
+        """Index ``keys`` at the rows of ``points`` ``(n, d)``; the cells
+        come from one array pass and are kept, so no later change to the
+        caller's array moves a key."""
+        floors = np.floor(np.asarray(points, dtype=float) / self._edge).tolist()
+        # int() raises for a NaN or infinite coordinate, which has no cell
         if self.metric.kind == "torus":
-            return tuple(c % self._cells_per_axis for c in coords)
-        return tuple(coords)
-
-    def insert(self, key: Hashable, position: NDArray) -> None:
-        if key in self._positions:
-            raise KeyError(f"id {key!r} already indexed")
-        # a copy: the caller may later overwrite the array it passed a view of
-        pos = np.array(position, dtype=float)
-        self._positions[key] = pos
-        self._cells.setdefault(self._cell_of(pos), []).append(key)
+            m = self._cells_per_axis
+            cells = [tuple(int(c) % m for c in row) for row in floors]
+        else:
+            cells = [tuple(map(int, row)) for row in floors]
+        placed = dict(zip(keys, cells))
+        if len(placed) != len(keys) or not self._cell.keys().isdisjoint(placed):
+            raise KeyError(f"ids already indexed among {list(keys)!r}")
+        self._cell.update(placed)
+        for key, cell in placed.items():
+            self._cells.setdefault(cell, []).append(key)
 
     def remove(self, key: Hashable) -> None:
-        pos = self._positions.pop(key)
-        cell = self._cell_of(pos)
+        cell = self._cell.pop(key)
         bucket = self._cells[cell]
         bucket.remove(key)
         if not bucket:
@@ -189,8 +191,8 @@ class GridIndex:
         return itertools.product(*spans)
 
     def candidates(self, x: NDArray, rho: float) -> list[Hashable]:
-        """Ids in the cells that cover the closed ``rho``-ball around ``x``:
-        every id within distance ``rho`` of ``x`` and some farther ones."""
+        """Keys in the cells that cover the closed ``rho``-ball around ``x``:
+        every key within distance ``rho`` of ``x`` and some farther ones."""
         found: list[Hashable] = []
         for cell in self._candidate_cells(x, rho):
             bucket = self._cells.get(cell)
@@ -198,14 +200,14 @@ class GridIndex:
                 found.extend(bucket)
         return found
 
-    def query(self, x: NDArray, rho: float) -> list[Hashable]:
-        """Ids of indexed points within closed distance ``rho`` of ``x``."""
-        candidates = self.candidates(x, rho)
-        if not candidates:
-            return []
-        pts = np.array([self._positions[c] for c in candidates])
-        dist = self.metric.distance_many(x, pts)
-        return [c for c, dd in zip(candidates, dist) if dd <= rho]
+    def query(self, x: NDArray, rho: float, positions: NDArray) -> NDArray:
+        """Ascending ids within closed distance ``rho`` of ``x``, as an
+        ``np.intp`` array; the keys are integer ids and row ``i`` of
+        ``positions`` is the position of id ``i``."""
+        found = np.array(self.candidates(x, rho), dtype=np.intp)
+        found = found[self.metric.distance_many(x, positions[found]) <= rho]
+        found.sort()
+        return found
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,11 @@ class Circumball:
     center_in_simplex: NDArray
     barycentric: NDArray
     valid: NDArray
+
+    def __getitem__(self, index) -> "Circumball":
+        """The rows selected by ``index`` over the leading axis."""
+        return Circumball(self.center[index], self.radius[index], self.center_in_simplex[index],
+                          self.barycentric[index], self.valid[index])
 
 
 def circumball(points: NDArray) -> Circumball:

@@ -219,7 +219,8 @@ class Configuration:
     Positions live in one array indexed by point id beside a boolean alive
     mask.  Ids are issued once, in increasing order, so ``ids()`` ascends
     and a written row never changes.  ``build_index`` attaches a uniform-grid
-    index; neighbor queries fall back to a full scan when no index exists.
+    index of the ids, which filters its candidates against this same
+    array; neighbor queries fall back to a full scan when no index exists.
     """
 
     def __init__(self, metric: Metric):
@@ -263,11 +264,16 @@ class Configuration:
         return self._pos[pid]
 
     def positions_array(self, pids: Optional[Sequence[int]] = None) -> NDArray:
+        """Positions of the alive points, or of the ids ``pids`` in their
+        order; a ``KeyError`` unless every id is issued and alive."""
         if pids is None:
             return self._pos[self._alive]
-        if not all(pid in self for pid in pids):
+        idx = np.asarray(pids, dtype=np.intp)
+        # the range test first, with negative ids read as huge unsigned ones,
+        # so that none indexes from the end
+        if not (idx.view(np.uintp) < self._next_id).all() or not self._alive[idx].all():
             raise KeyError(f"point ids not all alive: {pids!r}")
-        return self._pos[np.asarray(pids, dtype=np.intp)]
+        return self._pos[idx]
 
     def add(self, position: NDArray, pid: Optional[int] = None) -> int:
         position = np.asarray(position, dtype=float)
@@ -285,7 +291,7 @@ class Configuration:
         self._alive[pid] = True
         self._next_id = pid + 1
         if self._grid is not None:
-            self._grid.insert(pid, self._pos[pid])
+            self._grid.insert([pid], self._pos[pid, None])
         return pid
 
     def remove(self, pid: int) -> None:
@@ -297,19 +303,21 @@ class Configuration:
 
     def build_index(self, cell_size: float) -> None:
         grid = GridIndex(self.metric, cell_size)
-        for pid in self.ids().tolist():
-            grid.insert(pid, self._pos[pid])
+        ids = self.ids()
+        grid.insert(ids.tolist(), self._pos[ids])
         self._grid = grid
 
     @property
     def indexed(self) -> bool:
         return self._grid is not None
 
-    def neighbors_within(self, x: NDArray, rho: float) -> list[int]:
+    def neighbors_within(self, x: NDArray, rho: float) -> NDArray:
+        """Ascending ``np.intp`` ids of the alive points within closed
+        distance ``rho`` of ``x``."""
         if self._grid is not None:
-            return self._grid.query(x, rho)
+            return self._grid.query(x, rho, self._pos)
         pids = self.ids()
-        return pids[self.metric.distance_many(x, self._pos[pids]) <= rho].tolist()
+        return pids[self.metric.distance_many(x, self._pos[pids]) <= rho]
 
     def apply_event(self, event: Event) -> None:
         if event.kind == "birth":

@@ -9,6 +9,7 @@ tracker counts those occupants per subset, up on a birth, down on a death).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -110,52 +111,50 @@ class SubsetTracker:
 
     def _init_scan(self) -> None:
         for anchor in self.config.ids().tolist():
-            pids = [anchor] + [p for p in self._near(self.config.position(anchor)) if p > anchor]
+            near = self._near(self.config.position(anchor))
+            pids = np.append(anchor, near[near > anchor])
             self._admit(pids, self.config.positions_array(pids), 0)
 
-    def _near(self, x: NDArray) -> list[int]:
+    def _near(self, x: NDArray) -> NDArray:
         """Ascending ids within the enumeration radius of ``x``; ``k = 1``
         subsets have no other members, so no query is made for them."""
         if self.f.k == 1:
-            return []
-        return sorted(self.config.neighbors_within(x, self.enum_radius))
+            return np.empty(0, dtype=np.intp)
+        return self.config.neighbors_within(x, self.enum_radius)
 
-    def _scored(self, pids: list[int], pts: NDArray, must: int) -> tuple[list, NDArray, NDArray]:
-        """``(members, points, values)`` of the ``k``-subsets of ``pids``
-        that contain ``pids[must]`` and have a nonzero value, all scored in
-        one ``functional.batch`` call.
+    def _scored(
+        self, pids: NDArray, pts: NDArray, must: int
+    ) -> tuple[NDArray, NDArray, Optional[BallUnionRegion]]:
+        """``(members, values, regions)`` of the ``k``-subsets of ``pids``
+        that contain ``pids[must]`` and count: a nonzero value and, in
+        exclusive mode, a region (``None`` in plain mode and where none
+        counts).  ``members`` is ``(B, k)`` ids; all candidates are scored
+        in one call.
 
         ``pids`` ascends (``pts`` holds their positions), so members reach
         the functional in id order, as in the evaluator.
         """
-        k = self.f.k
-        if len(pids) < k:
-            return [], np.empty((0, k, pts.shape[1])), np.empty(0)
-        combos = list(combinations([i for i in range(len(pids)) if i != must], k - 1))
-        rows = np.empty((len(combos), k), dtype=np.intp)
-        rows[:, :-1] = np.array(combos, dtype=np.intp).reshape(len(combos), k - 1)
-        rows[:, -1] = must
-        rows.sort(axis=1)
-        vals = self.f.batch(pts[rows], self.r, self.config.metric)
-        live = np.nonzero(vals)[0]
-        return [tuple(pids[i] for i in rows[j]) for j in live], pts[rows[live]], vals[live]
+        if len(pids) < self.f.k:
+            return np.empty((0, self.f.k), dtype=np.intp), np.empty(0), None
+        rows = _combination_rows(len(pids), must, self.f.k)
+        stack = pts[rows]
+        if self.nbhd is None:
+            vals = self.f.batch(stack, self.r, self.config.metric)
+            live = np.flatnonzero(vals)
+            return pids[rows[live]], vals[live], None
+        live, vals, region = self.nbhd.score(self.f, stack, self.r, self.config.metric)
+        return pids[rows[live]], vals, region
 
-    def _admit(self, pids: list[int], pts: NDArray, must: int) -> None:
+    def _admit(self, pids: NDArray, pts: NDArray, must: int) -> None:
         """Count or register the scored subsets of ``pids`` that contain
-        ``pids[must]``; their regions are built and their occupants counted
-        in one call each."""
-        members, points, vals = self._scored(pids, pts, must)
+        ``pids[must]``; their occupants are counted in one call and their
+        anchor cells found in one pass."""
+        members, vals, region = self._scored(pids, pts, must)
         if self.nbhd is None:
             for val in vals.tolist():
                 self._sum.add(val)
             return
-        if not members:
-            return
-        region, valid = self.nbhd.build(points, self.r, self.config.metric)
-        if not valid.all():  # a degenerate circumball has no region
-            members = [m for m, ok in zip(members, valid.tolist()) if ok]
-            region, vals = region[valid], vals[valid]
-        if not members:
+        if not len(members):
             return
         occupants = self._occupants_of(pts[must], members, region)
         first = len(self._keys)
@@ -165,27 +164,26 @@ class SubsetTracker:
         self._radii[first:stop] = region.radii
         self._xi[first:stop] = vals
         self._occupants[first:stop] = occupants
-        for slot, subset in enumerate(members, first):
-            key = frozenset(subset)
-            self._slot[key] = slot
-            self._keys.append(key)
-            for pid in subset:
+        keys = list(map(frozenset, members.tolist()))
+        self._slot.update(zip(keys, range(first, stop)))
+        self._keys.extend(keys)
+        for key in keys:
+            for pid in key:
                 self._member_keys.setdefault(pid, set()).add(key)
-            self._anchor_grid.insert(key, region.centers[slot - first, 0])
+        self._anchor_grid.insert(keys, region.centers[:, 0])
         for val in vals[occupants == 0].tolist():
             self._sum.add(val)
 
-    def _occupants_of(self, x: NDArray, members: list, region: BallUnionRegion) -> NDArray:
-        """Alive non-members inside each region of subsets that all have a
-        member at ``x``, from one neighbour query around ``x``."""
+    def _occupants_of(self, x: NDArray, members: NDArray, region: BallUnionRegion) -> NDArray:
+        """Alive non-members inside each region of the ``(B, k)`` subsets
+        ``members`` that all have a member at ``x``, from one neighbour
+        query around ``x``."""
         # each region lies within its centres' distance from x plus their radii
         gaps = self.config.metric.distance_many(x, region.centers.reshape(-1, len(x)))
         reach = float(np.max(gaps + region.radii.ravel()))
         others = self.config.neighbors_within(x, padded_radius(reach))
-        if not others:
-            return np.zeros(len(members), dtype=np.intp)
         hit = region.contains_many(self.config.positions_array(others))
-        hit &= ~(np.array(members)[:, :, None] == np.array(others)).any(axis=1)
+        hit &= ~(members[:, :, None] == others).any(axis=1)
         return np.count_nonzero(hit, axis=1)
 
     def _reserve(self, size: int) -> None:
@@ -217,14 +215,15 @@ class SubsetTracker:
         cands = self._near(x)
         pts = np.vstack([self.config.positions_array(cands), x[None, :]])
         # the newcomer's id is the largest, so it goes last
-        self._admit(cands + [pid], pts, len(cands))
+        self._admit(np.append(cands, pid), pts, len(cands))
 
     def _on_death(self, pid: int) -> None:
         y = self.config.position(pid)
         if self.nbhd is None:
-            ids = sorted({pid, *self._near(y)})
+            # the point is still alive, at distance 0 from itself
+            ids = self._near(y) if self.f.k > 1 else np.array([pid], dtype=np.intp)
             pts = self.config.positions_array(ids)
-            for val in self._scored(ids, pts, ids.index(pid))[2].tolist():
+            for val in self._scored(ids, pts, int(np.searchsorted(ids, pid)))[1].tolist():
                 self._sum.add(-val)
             return
         # exclusive mode: drop subsets containing the point ...
@@ -277,6 +276,21 @@ class SubsetTracker:
         self._occupants[hit] += step
         for val in self._xi[hit[self._occupants[hit] == max(step, 0)]].tolist():
             self._sum.add(-step * val)
+
+
+@functools.lru_cache(maxsize=256)
+def _combination_rows(n: int, must: int, k: int) -> NDArray:
+    """Index rows ``(C, k)``, each ascending, of the ``k``-subsets of
+    ``range(n)`` that contain ``must``, in ``itertools.combinations`` order
+    of the others; read-only, as it is shared by every call.  Each cached
+    array is smaller than the point stack its caller gathers with it."""
+    combos = list(combinations([i for i in range(n) if i != must], k - 1))
+    rows = np.empty((len(combos), k), dtype=np.intp)
+    rows[:, :-1] = np.array(combos, dtype=np.intp).reshape(len(combos), k - 1)
+    rows[:, -1] = must
+    rows.sort(axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def evaluate_statistic(
@@ -483,9 +497,13 @@ def sample_path(
     neighborhood: Optional[NeighborhoodMap] = None,
     rep: int = 0,
 ) -> TimeSeries:
-    """Simulate one stationary path and sample the statistic on a time grid."""
+    """Simulate one stationary path and sample the statistic on a time grid.
+
+    The scale is checked before any draw, so a bad ``r`` costs no
+    simulation."""
     if r is None:
         r = config.interaction_radius
+    _scale_radii(functional, r, neighborhood, config.metric)
     rng = config.rng(rep)
     state = sample_stationary(config, rng)
     stream = simulate_events(config, state, rng)

@@ -12,6 +12,7 @@ REMOVED = (
     (geometry, "neighbors_within"),
     (geometry, "DegenerateGeometryError"),
     (geometry.GridIndex, "cell_edge"),
+    (geometry.GridIndex, "position"),
     (functionals.BallUnionRegion, "bounding_box"),
     (functionals.NeighborhoodMap, "count_inside"),
     (functionals.BallUnionRegion, "contains"),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bdgeom import cli, suite
+from bdgeom import cli, statistics, suite
 from bdgeom.cli import main
 from bdgeom.functionals import ConfigError
 from bdgeom.suite import CheckResult, worker_count
@@ -471,6 +471,29 @@ def test_nonpositive_radius_exits_2(tmp_path, capsys, r):
     out = tmp_path / "out"
     assert main(["simulate", "--set", "n=20", "--set", f"r={r}", "--out", str(out)]) == 2
     assert "interaction radius must be positive" in capsys.readouterr().err
+    assert not (out / "paths.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (["r=NaN"], "interaction radius must be positive"),
+        (["r=0.6"], "too large for the unit torus"),
+        # fine for the plain count, but the balls' reach 2r is not
+        (["r=0.3", "neighborhood=balls"], "too large for the unit torus"),
+    ],
+    ids=["nan", "enumeration", "reach"],
+)
+def test_bad_scale_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, fields, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn before the scale was checked")
+
+    monkeypatch.setattr(statistics, "sample_stationary", no_draw)
+    monkeypatch.setattr(statistics, "simulate_events", no_draw)
+    out = tmp_path / "out"
+    overrides = [arg for field in ["n=100000", "horizon=2", *fields] for arg in ("--set", field)]
+    assert main(["simulate", *overrides, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "paths.csv").exists()
 
 

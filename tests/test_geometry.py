@@ -101,76 +101,90 @@ def test_grid_query_matches_brute_force(kind, dim):
     for trial in range(60):
         cell = float(rng.uniform(0.02, 0.4))
         index = GridIndex(metric, cell)
-        positions = {}
         n = int(rng.integers(0, 60))
         scale = 1.0 if kind == "torus" else 3.0
-        for key in range(n):
-            pos = rng.random(dim) * scale
-            index.insert(key, pos)
-            positions[key] = pos
+        pos = rng.random((n, dim)) * scale
+        # one key at a time, then the rest in one call
+        half = n // 2
+        for key in range(half):
+            index.insert([key], pos[key, None])
+        index.insert(list(range(half, n)), pos[half:])
+        positions = dict(enumerate(pos))
         for _ in range(6):
             x = rng.random(dim) * scale
             # radii above and below the cell edge, including zero-ish
             rho = float(rng.choice([0.01, cell / 2, cell, 3 * cell, 0.45]))
             if kind == "torus":
                 rho = min(rho, 0.49)
-            got = set(index.query(x, rho))
-            assert got == _brute(metric, positions, x, rho)
+            got = index.query(x, rho, pos)
+            assert got.dtype == np.intp
+            assert got.tolist() == sorted(_brute(metric, positions, x, rho))
 
 
 def test_grid_insert_remove_roundtrip():
     metric = Metric("torus", 2)
     index = GridIndex(metric, 0.2)
     rng = np.random.default_rng(11)
-    pts = {k: rng.random(2) for k in range(30)}
-    for k, p in pts.items():
-        index.insert(k, p)
+    pos = rng.random((30, 2))
+    index.insert(list(range(30)), pos)
     assert len(index) == 30
+    pts = dict(enumerate(pos))
     for k in list(pts)[::2]:
         index.remove(k)
         del pts[k]
     assert len(index) == len(pts)
     x = np.array([0.5, 0.5])
-    assert set(index.query(x, 0.3)) == _brute(metric, pts, x, 0.3)
+    assert index.query(x, 0.3, pos).tolist() == sorted(_brute(metric, pts, x, 0.3))
     assert set(index.ids()) == set(pts)
-    for k, p in pts.items():
-        assert np.allclose(index.position(k), p)
 
 
-def test_grid_keeps_its_own_copy_of_positions():
-    # callers insert rows of arrays they later overwrite (the tracker's slots)
+def test_grid_keeps_each_keys_cell_not_its_position():
+    # a key stays in the cell of its position at insertion, whatever later
+    # happens to the caller's array; query reads the array it is given
     index = GridIndex(Metric("torus", 2), 0.1)
     source = np.array([[0.05, 0.05], [0.55, 0.55]])
-    index.insert("a", source[0])
-    index.insert("b", source[1])
+    index.insert([0, 1], source)
     source[:] = source[::-1]
-    assert index.query(np.array([0.05, 0.05]), 0.01) == ["a"]
-    assert np.array_equal(index.position("a"), [0.05, 0.05])
-    index.remove("a")
-    assert index.query(np.array([0.05, 0.05]), 0.01) == []
-    assert index.query(np.array([0.55, 0.55]), 0.01) == ["b"]
+    assert index.candidates(np.array([0.05, 0.05]), 0.01) == [0]
+    assert index.query(np.array([0.05, 0.05]), 0.01, source).tolist() == []
+    assert index.query(np.array([0.55, 0.55]), 0.01, source[::-1]).tolist() == [1]
+    index.remove(0)  # from its kept cell: the source no longer says where
+    assert 0 not in index and len(index) == 1
+    assert index.candidates(np.array([0.05, 0.05]), 0.01) == []
+    assert index.candidates(np.array([0.55, 0.55]), 0.01) == [1]
 
 
 def test_grid_candidates_cover_the_query_ball():
     rng = np.random.default_rng(12)
     metric = Metric("torus", 2)
     index = GridIndex(metric, 0.15)
-    pts = {k: rng.random(2) for k in range(80)}
-    for k, p in pts.items():
-        index.insert(k, p)
+    pos = rng.random((80, 2))
+    index.insert(list(range(80)), pos)
+    pts = dict(enumerate(pos))
     for _ in range(20):
         x, rho = rng.random(2), float(rng.uniform(0.01, 0.3))
         found = index.candidates(x, rho)
         assert len(found) == len(set(found))
         assert _brute(metric, pts, x, rho) <= set(found)
-        assert sorted(index.query(x, rho)) == sorted(_brute(metric, pts, x, rho))
+        assert index.query(x, rho, pos).tolist() == sorted(_brute(metric, pts, x, rho))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_rejects_positions_without_a_cell(kind, bad):
+    index = GridIndex(Metric(kind, 2), 0.1)
+    with pytest.raises((ValueError, OverflowError)):
+        index.insert([0, 1], np.array([[0.5, 0.5], [bad, 0.5]]))
+    assert len(index) == 0
 
 
 def test_grid_duplicate_or_missing_key():
     index = GridIndex(Metric("euclidean", 2), 1.0)
-    index.insert("a", np.zeros(2))
-    with pytest.raises(KeyError):
-        index.insert("a", np.ones(2))
+    index.insert(["a"], np.zeros((1, 2)))
+    for keys in (["a"], ["b", "a"], ["b", "b"]):
+        with pytest.raises(KeyError):
+            index.insert(keys, np.ones((len(keys), 2)))
+        assert list(index.ids()) == ["a"]  # a refused call indexes nothing
     with pytest.raises(KeyError):
         index.remove("b")
 

@@ -119,6 +119,26 @@ def test_configuration_add_remove():
             config.positions_array([unknown])
 
 
+@pytest.mark.parametrize("bad", ["dead", "unissued", "negative"])
+def test_positions_array_rejects_ids_it_does_not_hold(bad):
+    # every row of the store is in use, so numpy would read -1 as the last
+    config = Configuration.from_points(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), Metric("torus", 2))
+    pids = {"dead": [1], "unissued": [3, 4, 10**6], "negative": [-1, -3, -4]}[bad]
+    if bad == "dead":
+        config.remove(1)
+    for pid in pids:
+        for ids in ([pid], [0, pid], np.array([2, pid])):
+            with pytest.raises(KeyError):
+                config.positions_array(ids)
+    config.add(np.array([0.7, 0.8]))  # grown: rows 4 and 5 exist but are not issued
+    pids = {"dead": [1], "unissued": [4, 5, 10**6], "negative": [-1, -4, -6]}[bad]
+    for pid in pids:
+        with pytest.raises(KeyError):
+            config.positions_array([pid])
+    assert np.array_equal(config.positions_array([3, 0]), [[0.7, 0.8], [0.1, 0.2]])
+    assert config.positions_array([]).shape == (0, 2)
+
+
 def test_configuration_position_views_keep_their_values():
     config = Configuration(Metric("torus", 2))
     config.add(np.array([0.25, 0.75]))
@@ -181,6 +201,46 @@ def test_configuration_store_matches_a_dict_model(initial, steps, kind):
             dead = sorted(set(range(next_id)) - set(ids))[0]
             with pytest.raises(KeyError):
                 plain.add(np.zeros(2), pid=dead)
+
+
+@st.composite
+def lattice_queries(draw):
+    """A configuration on a lattice of quarter grid cells, so that many
+    points sit on cell boundaries, some twice and some just across the
+    torus seam; a query point from the same lattice; and a radius that is
+    either a whole number of cells or the exact distance to one point."""
+    kind = draw(st.sampled_from(["torus", "euclidean"]))
+    cells = draw(st.integers(2, 8))
+    low, high = (0, 4 * cells - 1) if kind == "torus" else (-8, 4 * cells + 8)
+    nudge = st.sampled_from([0.0, 0.0, 1e-12, -1e-12])  # -1e-12 wraps to just below 1
+    coord = st.builds(lambda k, e: k / (4 * cells) + e, st.integers(low, high), nudge)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=5))  # duplicate positions
+    x = np.array(draw(st.sampled_from(pts)) if draw(st.booleans()) else draw(st.tuples(coord, coord)))
+    gone = draw(st.sets(st.integers(0, len(pts) - 1), max_size=len(pts) // 3))
+    radius = draw(st.one_of(st.integers(1, cells // 2).map(lambda j: j / cells), st.sampled_from(pts)))
+    return Metric(kind, 2), cells, np.array(pts), x, sorted(gone), radius
+
+
+@given(lattice_queries())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_neighbors_within_matches_a_scan(case):
+    metric, cells, pts, x, gone, radius = case
+    config = Configuration.from_points(pts, metric)
+    config.build_index(1.0 / cells)
+    for pid in gone:
+        config.remove(pid)
+    for p in pts[: len(gone)]:  # re-added: new ids at old positions
+        config.add(p)
+    x = metric.wrap(x)
+    rho = radius if isinstance(radius, float) else metric.distance(x, metric.wrap(np.array(radius)))
+    ids = config.ids().tolist()
+    want = [pid for pid in ids if metric.distance(x, config.position(pid)) <= rho]
+    got = config.neighbors_within(x, rho)
+    assert got.dtype == np.intp
+    assert got.tolist() == want  # ascending and unique, as ids() is
+    assert np.array_equal(Configuration.from_points(config.positions_array(), metric).neighbors_within(x, rho),
+                          np.searchsorted(ids, want))
 
 
 def test_configuration_add_checks_its_shape():

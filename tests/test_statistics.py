@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from bdgeom import functionals, statistics
 from bdgeom.functionals import (
     ConfigError,
     NeighborhoodMap,
@@ -127,6 +128,45 @@ def test_birth_creates_edges():
     tracker.apply_event(ev)
     config.apply_event(ev)
     assert tracker.value == 1.0
+
+
+@pytest.mark.parametrize("r, nb", [(float("nan"), None), (0.6, None), (0.3, NeighborhoodMap("balls"))])
+def test_sample_path_checks_the_scale_before_drawing(monkeypatch, r, nb):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn before the scale was checked")
+
+    monkeypatch.setattr(statistics, "sample_stationary", no_draw)
+    monkeypatch.setattr(statistics, "simulate_events", no_draw)
+    config = SimulationConfig(n=100000, dim=2, horizon=2.0, density=Density("uniform", 2))
+    with pytest.raises(ConfigError):
+        sample_path(config, make_clique(2), [0.0, 1.0], r, nb)
+
+
+def test_morse_rows_pass_through_one_circumball_each(monkeypatch):
+    # the circumball that scores a row is the one its region is built from
+    rows = []
+    real = functionals.circumball
+
+    def counted(points):
+        rows.append(int(np.prod(np.shape(points)[:-2])))
+        return real(points)
+
+    monkeypatch.setattr(functionals, "circumball", counted)
+    pts = np.random.default_rng(8).random((150, 2))
+    r = 0.05
+    config = Configuration.from_points(pts, TORUS)
+    nb = NeighborhoodMap("circumball")
+    tracker = SubsetTracker(config, make_morse(1), r, nb)
+    # morse:1 scores every pair within 2r once
+    assert sum(rows) == count_pairs_within(pts, 2 * r, TORUS) > 0
+    for pid, x in ((150, [0.51, 0.49]), (151, [0.995, 0.02])):
+        rows.clear()
+        ev = birth(pid, x, time=1.0)
+        tracker.apply_event(ev)
+        config.apply_event(ev)
+        near = TORUS.distance_many(config.position(pid), config.positions_array()) <= 2 * r
+        assert sum(rows) == np.count_nonzero(near) - 1 > 0
+    assert tracker.value == evaluate_statistic(config, make_morse(1), r, nb)
 
 
 def test_exclusive_flip_sequence():
