@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -187,13 +186,12 @@ def _out_dir(cfg: dict, flag_out: Optional[str]) -> Path:
 # path simulation (the event-driven route)
 
 
-def _simulate_one(args: tuple) -> list[float]:
+def _simulate_one(args: tuple) -> np.ndarray:
     cfg, seed, times, rep = args
     config = _sim_config(cfg, seed)
     functional = from_selector(cfg.get("functional", "clique:2"))
     nbhd = neighborhood_from_selector(cfg.get("neighborhood", "none"))
-    series = sample_path(config, functional, times, _radius(cfg, config), nbhd, rep)
-    return [float(v) for v in series.values]
+    return sample_path(config, functional, times, _radius(cfg, config), nbhd, rep)
 
 
 def _check_paths(cfg: dict, seed: int, times: np.ndarray, reps: int) -> None:
@@ -207,13 +205,7 @@ def _check_paths(cfg: dict, seed: int, times: np.ndarray, reps: int) -> None:
 
 def _simulate_paths(cfg: dict, seed: int, times: np.ndarray, reps: int, jobs: int) -> np.ndarray:
     tasks = [(cfg, seed, tuple(times), rep) for rep in range(reps)]
-    workers = suite.worker_count(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_simulate_one, tasks))
-    else:
-        rows = [_simulate_one(task) for task in tasks]
-    return np.asarray(rows)
+    return np.asarray(suite.map_tasks(_simulate_one, tasks, jobs))
 
 
 def _paths_rows(times: np.ndarray, matrix: np.ndarray):

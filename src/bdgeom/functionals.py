@@ -6,9 +6,6 @@ exactly ``k`` points, at interaction scale ``r``.  All built-ins satisfy:
 * scale and translation invariance: ``f(a*S + x, a*r) == f(S, r)``;
 * locality: ``f(S, r) == 0`` whenever ``diam(S) > r_max * r``;
 * boundedness: ``|f| <= xi_sup``.
-
-``validate_functional`` spot-checks these properties on random inputs, which
-is how user-supplied functionals should be vetted before simulation.
 """
 from __future__ import annotations
 
@@ -19,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import GEOM_TOL, Circumball, Metric, circumball, unit_ball_volume
+from .geometry import Circumball, Metric, circumball, unit_ball_volume
 
 
 class ConfigError(ValueError):
@@ -429,81 +426,3 @@ def _hit_or_miss(centers_a, radii_a, centers_b, radii_b, samples, rng):
         in_a, in_b = inside[..., :split].any(axis=-1), inside[..., split:].any(axis=-1)
         counts[block] = np.stack([in_a, in_b, in_a & in_b], axis=-1).sum(axis=1)
     return tuple(counts.T * (np.prod(hi - lo, axis=1) / samples))
-
-
-# ---------------------------------------------------------------------------
-# invariance validation
-
-
-@dataclass
-class InvarianceReport:
-    trials: int
-    scale_violations: int
-    locality_violations: int
-    bound_violations: int
-    max_deviation: float
-    feasible_fraction: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.scale_violations == 0
-            and self.locality_violations == 0
-            and self.bound_violations == 0
-        )
-
-
-def validate_functional(
-    functional: LocalFunctional,
-    dim: int,
-    trials: int = 1000,
-    seed: int = 0,
-) -> InvarianceReport:
-    """Spot-check scale/translation invariance, locality and boundedness on
-    random euclidean subsets; also reports how often ``f > 0`` occurred
-    (zero feasible hits usually means a degenerate definition)."""
-    rng = np.random.default_rng(seed)
-    metric = Metric("euclidean", dim)
-    k = functional.k
-    scale_bad = 0
-    local_bad = 0
-    bound_bad = 0
-    feasible = 0
-    max_dev = 0.0
-    for _ in range(trials):
-        r = 0.5 + rng.random()
-        spread = r * functional.r_max
-        points = rng.uniform(-spread, spread, size=(k, dim))
-        value = functional(points, r, metric)
-        if abs(value) > functional.xi_sup + GEOM_TOL:
-            bound_bad += 1
-        if value > 0.0:
-            feasible += 1
-        alpha = 0.5 + 1.5 * rng.random()
-        shift = rng.uniform(-5.0, 5.0, size=dim)
-        moved = functional(alpha * points + shift, alpha * r, metric)
-        dev = abs(moved - value)
-        max_dev = max(max_dev, dev)
-        if dev > GEOM_TOL:
-            scale_bad += 1
-        # force a diameter violation and require a zero value
-        if k > 1:
-            far = points.copy()
-            far[-1] = points[0] + _unit_vector(rng, dim) * (
-                functional.r_max * r * (1.1 + rng.random())
-            )
-            if functional(far, r, metric) != 0.0:
-                local_bad += 1
-    return InvarianceReport(
-        trials=trials,
-        scale_violations=scale_bad,
-        locality_violations=local_bad,
-        bound_violations=bound_bad,
-        max_deviation=max_dev,
-        feasible_fraction=feasible / trials,
-    )
-
-
-def _unit_vector(rng: np.random.Generator, dim: int) -> NDArray:
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

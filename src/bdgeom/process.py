@@ -15,8 +15,7 @@ Two exact samplers are provided:
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -176,19 +175,13 @@ class SimulationConfig:
 
 @dataclass(slots=True)
 class MarkedPoint:
-    """A point with its birth time and lifetime.
-
-    Alive on ``[birth, birth + lifetime)``: ``alive_at(t)`` is True iff
-    ``birth <= t < birth + lifetime``.
-    """
+    """A point with its birth time and lifetime, alive on
+    ``[birth, birth + lifetime)``."""
 
     pid: int
     position: NDArray
     birth: float
     lifetime: float
-
-    def alive_at(self, t: float) -> bool:
-        return self.birth <= t < self.birth + self.lifetime
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,6 +206,21 @@ class EventStream:
         return len(self.events)
 
 
+# a larger coordinate could overflow a squared distance
+MAX_COORDINATE = 1e150
+
+
+def _check_coordinates(points: NDArray) -> None:
+    """A ``ValueError`` naming the first coordinate of ``points`` that is
+    NaN, infinite or larger than ``MAX_COORDINATE`` in size, if any."""
+    fits = np.abs(points) <= MAX_COORDINATE
+    if not fits.all():
+        at = tuple(np.argwhere(~fits)[0].tolist())
+        raise ValueError(
+            f"coordinate {list(at)} is {float(points[at])}, not a finite number of size at most {MAX_COORDINATE:g}"
+        )
+
+
 class Configuration:
     """The alive point set at one time instant.
 
@@ -221,6 +229,8 @@ class Configuration:
     and a written row never changes.  ``build_index`` attaches a uniform-grid
     index of the ids, which filters its candidates against this same
     array; neighbor queries fall back to a full scan when no index exists.
+    ``from_points`` and ``add`` store nothing unless every coordinate is
+    finite and at most ``MAX_COORDINATE`` in size.
     """
 
     def __init__(self, metric: Metric):
@@ -239,6 +249,7 @@ class Configuration:
             pts = pts.reshape(0, pts.shape[-1] or metric.dim)
         if pts.ndim != 2 or pts.shape[1] != metric.dim:
             raise ValueError(f"positions must have shape (m, {metric.dim}), got {np.shape(positions)}")
+        _check_coordinates(pts)
         config = cls(metric)
         config._pos = metric.wrap(pts)
         config._alive = np.ones(len(pts), dtype=bool)
@@ -279,6 +290,7 @@ class Configuration:
         position = np.asarray(position, dtype=float)
         if position.shape != (self.metric.dim,):
             raise ValueError(f"position must have shape ({self.metric.dim},), got {position.shape}")
+        _check_coordinates(position)
         if pid is None:
             pid = self._next_id
         if pid < self._next_id:
@@ -422,15 +434,6 @@ def sample_marked(
     return list(map(MarkedPoint, range(len(births)), positions, births.tolist(), lifetimes.tolist()))
 
 
-def slice_at(marked: Sequence[MarkedPoint], t: float, metric: Metric) -> Configuration:
-    """Alive point set of a marked sample at time ``t`` (ids preserved)."""
-    config = Configuration(metric)
-    for point in marked:
-        if point.alive_at(t):
-            config.add(point.position, pid=point.pid)
-    return config
-
-
 def alive_count_path(stream: EventStream, times: Sequence[float]) -> NDArray:
     """Alive-point counts at the given increasing times."""
     counts = np.zeros(len(times), dtype=int)
@@ -443,19 +446,3 @@ def alive_count_path(stream: EventStream, times: Sequence[float]) -> NDArray:
         current += 1 if event.kind == "birth" else -1
     counts[idx:] = current
     return counts
-
-
-def export_events(stream: EventStream, path: str, dim: int) -> None:
-    """Write the event log as CSV: time, kind, id, coordinates, lifetime."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["time", "kind", "id"] + [f"x{i + 1}" for i in range(dim)] + ["lifetime"]
-        )
-        for event in stream.events:
-            point = event.point
-            writer.writerow(
-                [repr(event.time), event.kind, point.pid]
-                + [repr(float(c)) for c in point.position]
-                + [repr(float(point.lifetime))]
-            )

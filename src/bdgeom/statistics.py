@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
@@ -42,13 +41,6 @@ class KahanSum:
     @property
     def value(self) -> float:
         return self._total
-
-
-@dataclass
-class TimeSeries:
-    times: NDArray
-    values: NDArray
-    rep: int = 0
 
 
 # slots the exclusive registry starts with; it doubles when full
@@ -496,8 +488,9 @@ def sample_path(
     r: Optional[float] = None,
     neighborhood: Optional[NeighborhoodMap] = None,
     rep: int = 0,
-) -> TimeSeries:
-    """Simulate one stationary path and sample the statistic on a time grid.
+) -> NDArray:
+    """Simulate stationary path ``rep`` and return the statistic's values at
+    ``sample_times``, shape ``(len(sample_times),)``.
 
     The scale is checked before any draw, so a bad ``r`` costs no
     simulation."""
@@ -508,5 +501,4 @@ def sample_path(
     state = sample_stationary(config, rng)
     stream = simulate_events(config, state, rng)
     tracker = SubsetTracker(state, functional, r, neighborhood)
-    values = replay(state, stream, [tracker], sample_times)[0]
-    return TimeSeries(np.asarray(sample_times, dtype=float), values, rep)
+    return replay(state, stream, [tracker], sample_times)[0]

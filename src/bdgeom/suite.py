@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +29,7 @@ from .process import (
     simulate_events,
 )
 from .statistics import SubsetTracker, count_pairs_within, evaluate_statistic, replay
-from .theory import CovarianceModel, exclusive_mixture_model, mixture_model, simulate_ou_superposition
+from .theory import exclusive_mixture_model, mixture_model, simulate_ou_superposition
 from .verify import (
     IntersectionPattern,
     estimate_covariance,
@@ -97,6 +97,12 @@ def _marked_arrays(config: SimulationConfig, rep: int) -> tuple[NDArray, NDArray
     return pos, births, births + lifetimes
 
 
+def _alive_at(births: NDArray, ends: NDArray, t: float) -> NDArray:
+    """Mask of the marked points alive at ``t``, each on ``[birth, end)``:
+    a point born at ``t`` is alive, one that dies at ``t`` is not."""
+    return (births <= t) & (t < ends)
+
+
 def _slice_value_matrix(
     config: SimulationConfig,
     reps: int,
@@ -114,8 +120,7 @@ def _slice_value_matrix(
     for rep in range(reps):
         pos, births, ends = _marked_arrays(config, rep)
         for i, t in enumerate(times):
-            mask = (births <= t) & (t < ends)
-            out[rep, i] = value_of(pos[mask])
+            out[rep, i] = value_of(pos[_alive_at(births, ends, t)])
     return out
 
 
@@ -168,8 +173,7 @@ def check_cross_sampler(seed: int = 0) -> CheckResult:
         marked_counts = np.zeros(reps)
         for rep in range(reps):
             pos, births, ends = _marked_arrays(config, reps + rep)
-            mask = (births <= t_probe) & (t_probe < ends)
-            marked_counts[rep] = count_pairs_within(pos[mask], r, metric)
+            marked_counts[rep] = count_pairs_within(pos[_alive_at(births, ends, t_probe)], r, metric)
         pvalue = float(stats.ks_2samp(event_counts, marked_counts).pvalue)
         detail = (
             f"two-sample KS p={pvalue:.3f}; means {event_counts.mean():.2f} vs "
@@ -193,11 +197,12 @@ def check_mark_probabilities(seed: int = 0) -> CheckResult:
         config = _uniform_config(60000.0, horizon, seed=seed)
         _, births, ends = _marked_arrays(config, 0)
         total = len(births)
-        cases = [("P[alive at 0]", (births <= 0.0) & (0.0 < ends), 1.0 / (1.0 + horizon))]
+        alive_0 = _alive_at(births, ends, 0.0)
+        cases = [("P[alive at 0]", alive_0, 1.0 / (1.0 + horizon))]
         for delta in (0.5, 1.0):
-            alive_d = (births <= delta) & (delta < ends)
+            alive_d = _alive_at(births, ends, delta)
             cases.append((f"P[alive at {delta}]", alive_d, 1.0 / (1.0 + horizon)))
-            both = ((births <= 0.0) & (0.0 < ends)) & alive_d
+            both = alive_0 & alive_d
             cases.append(
                 (f"P[alive at 0 and {delta}]", both, math.exp(-delta) / (1.0 + horizon))
             )
@@ -584,6 +589,27 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
+def map_tasks(
+    fn: Callable, tasks: Sequence, jobs: int, progress: Optional[Callable] = None
+) -> list:
+    """``[fn(task) for task in tasks]`` on ``worker_count(jobs, len(tasks))``
+    processes; ``progress`` sees each result as soon as it is computed."""
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        results = []
+        for task in tasks:
+            results.append(fn(task))
+            if progress is not None:
+                progress(results[-1])
+        return results
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        if progress is not None:
+            for future in as_completed(futures):
+                progress(future.result())
+        return [future.result() for future in futures]
+
+
 def _run_named(args: tuple[str, int]) -> CheckResult:
     name, seed = args
     return CHECKS[name](seed=seed)
@@ -595,23 +621,10 @@ def run_all(
     jobs: int = 1,
     progress: Optional[Callable[[CheckResult], None]] = None,
 ) -> list[CheckResult]:
-    """Run the selected checks (all by default) and return their results."""
+    """Run the selected checks (all by default) and return their results in
+    the order selected; ``progress`` sees each result as its check ends."""
     selected = list(names) if names is not None else list(CHECKS)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {unknown}")
-    workers = worker_count(jobs, len(selected))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_named, [(name, seed) for name in selected]))
-        if progress is not None:
-            for result in results:
-                progress(result)
-        return results
-    results = []
-    for name in selected:
-        result = CHECKS[name](seed=seed)
-        if progress is not None:
-            progress(result)
-        results.append(result)
-    return results
+    return map_tasks(_run_named, [(name, seed) for name in selected], jobs, progress)

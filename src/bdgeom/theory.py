@@ -52,94 +52,6 @@ def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float)
 
 
 # ---------------------------------------------------------------------------
-# moment integrals of the plain statistic
-
-
-def mean_moment(
-    functional: LocalFunctional,
-    density: Density,
-    r: float,
-    budget: int = 100_000,
-    seed: int = 0,
-) -> IntegralEstimate:
-    """Monte Carlo estimate of ``E[f(X, r)]`` for ``k`` i.i.d. density points."""
-    rng = np.random.default_rng(seed)
-    k = functional.k
-    pts = density.sample(rng, budget * k).reshape(budget, k, -1)
-    vals = functional.batch(pts, r, density.metric)
-    return IntegralEstimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / math.sqrt(budget)),
-        "monte-carlo",
-        budget,
-    )
-
-
-def overlap_moment(
-    functional: LocalFunctional,
-    density: Density,
-    r: float,
-    shared: int,
-    budget: int = 100_000,
-    seed: int = 0,
-) -> IntegralEstimate:
-    """Monte Carlo estimate of ``E[f(X, r) * f(X', r)]`` where the two
-    ``k``-point tuples share exactly ``shared`` points.
-
-    ``shared == 0`` is returned as the squared mean with propagated error
-    (the tuples are then independent).
-    """
-    k = functional.k
-    if not 0 <= shared <= k:
-        raise ValueError("shared must lie in 0..k")
-    if shared == 0:
-        base = mean_moment(functional, density, r, budget, seed)
-        return IntegralEstimate(
-            base.value**2,
-            2.0 * abs(base.value) * base.std_error,
-            "monte-carlo",
-            budget,
-        )
-    rng = np.random.default_rng(seed)
-    total = 2 * k - shared
-    pts = density.sample(rng, budget * total).reshape(budget, total, -1)
-    first = pts[:, :k]
-    second = np.concatenate([pts[:, :shared], pts[:, k:]], axis=1)
-    metric = density.metric
-    vals = functional.batch(first, r, metric) * functional.batch(second, r, metric)
-    return IntegralEstimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / math.sqrt(budget)),
-        "monte-carlo",
-        budget,
-    )
-
-
-def statistic_mean_variance(
-    n: float,
-    k: int,
-    mean_mom: IntegralEstimate,
-    overlaps: dict[int, IntegralEstimate],
-) -> tuple[IntegralEstimate, IntegralEstimate]:
-    """Mean and variance of the plain statistic under stationarity.
-
-    ``mean = n**k / k! * E[f]`` and the variance sums the overlap moments:
-    ``var = (n**k / k!) * sum_{i=1..k} C(k,i) * n**(k-i) / (k-i)! * m_i``.
-    """
-    lead = n**k / math.factorial(k)
-    mean = IntegralEstimate(
-        lead * mean_mom.value, lead * mean_mom.std_error, mean_mom.method
-    )
-    var = 0.0
-    var_err_sq = 0.0
-    for i in range(1, k + 1):
-        coef = lead * math.comb(k, i) * n ** (k - i) / math.factorial(k - i)
-        var += coef * overlaps[i].value
-        var_err_sq += (coef * overlaps[i].std_error) ** 2
-    return mean, IntegralEstimate(var, math.sqrt(var_err_sq), "monte-carlo")
-
-
-# ---------------------------------------------------------------------------
 # scale-free rate integrals (evaluated at r = 1, euclidean chart)
 
 
@@ -193,9 +105,10 @@ def rate_integral(
 ) -> IntegralEstimate:
     """Scale-free overlap integral behind the weight of rate ``shared``.
 
-    This is the ``r -> 0`` limit of ``overlap_moment(shared) / r**(dim *
-    (2k - shared - 1))``, an integral over euclidean offsets of two tuples
-    sharing ``shared`` points, times the density power integral.  Closed
+    This is the ``r -> 0`` limit of the overlap moment ``E[f(X, r) *
+    f(X', r)]`` of two ``k``-point tuples sharing ``shared`` points, over
+    ``r**(dim * (2k - shared - 1))``: an integral over euclidean offsets of
+    the two tuples, times the density power integral.  Closed
     form for the pair functional under the uniform density; Monte Carlo
     otherwise.
     """

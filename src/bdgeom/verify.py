@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy import special, stats
 
-from .geometry import Metric, circumball
+from .geometry import circumball
 from .process import Density, SimulationConfig, sample_stationary
-from .statistics import TimeSeries
 
 
 # ---------------------------------------------------------------------------
@@ -38,29 +37,22 @@ class CovarianceEstimate:
     n_paths: int
 
 
-def estimate_covariance(
-    paths: Sequence[TimeSeries] | tuple[NDArray, NDArray], lags: Sequence[float]
-) -> CovarianceEstimate:
+def estimate_covariance(paths: tuple[NDArray, NDArray], lags: Sequence[float]) -> CovarianceEstimate:
     """Normalized ensemble autocovariance of stationary paths.
 
-    All paths must share one time grid.  For each lag the covariance is
-    estimated across replications, pooled over every pair of grid times
-    with that separation, and normalized by the pooled lag-0 variance (so
-    the value at lag 0 is exactly 1).  Confidence intervals come from the
+    ``paths`` is ``(times, matrix)``: the shared time grid and one row of
+    values on it per path.  For each lag the covariance is estimated across
+    replications, pooled over every pair of grid times with that
+    separation, and normalized by the pooled lag-0 variance (so the value
+    at lag 0 is exactly 1).  Confidence intervals come from the
     replication-to-replication scatter of the pooled products via the
     delta method for the ratio, which correctly shrinks to zero width at
     lag 0.  Grid times match within ``TIME_TOL``.
     """
-    if isinstance(paths, tuple):
-        times, matrix = paths
-        times = np.asarray(times, dtype=float)
-        matrix = np.asarray(matrix, dtype=float)
-    else:
-        times = np.asarray(paths[0].times, dtype=float)
-        for p in paths:
-            if len(p.times) != len(times) or np.any(np.abs(p.times - times) > TIME_TOL):
-                raise ValueError("all paths must share one time grid")
-        matrix = np.vstack([p.values for p in paths])
+    times = np.asarray(paths[0], dtype=float)
+    matrix = np.asarray(paths[1], dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != len(times):
+        raise ValueError(f"paths must share the grid of {len(times)} times, got shape {matrix.shape}")
     n_paths, n_times = matrix.shape
     if n_paths < 3:
         raise ValueError("need at least 3 paths")

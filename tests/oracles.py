@@ -4,11 +4,16 @@ Nothing here imports the package's integration code: values are produced by
 deterministic quadrature (or exhaustive enumeration) straight from the
 defining formulas, so they can confront the package's Monte Carlo
 estimators.  Rerun via BDGEOM_RUN_ORACLES=1 (see test_theory.py).
+``validate_functional`` spot-checks the contract every local functional
+must meet (invariance, locality, boundedness) on random inputs; it calls
+the functional under test, with the metric the caller passes, and nothing
+else of the package.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +162,80 @@ def vacancy_rate_kappa_edges_j1_m1(
         total += ws * 2.0 * np.pi * s * 2.0 * inner
     return total
 
+
+# ---------------------------------------------------------------------------
+# invariance validation of local functionals
+
+VALUE_TOL = 1e-9  # values closer than this are equal
+
+
+class InvarianceReport(NamedTuple):
+    trials: int
+    scale_violations: int
+    locality_violations: int
+    bound_violations: int
+    max_deviation: float
+    feasible_fraction: float
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.scale_violations == 0
+            and self.locality_violations == 0
+            and self.bound_violations == 0
+        )
+
+
+def validate_functional(functional, metric, trials: int = 1000, seed: int = 0) -> InvarianceReport:
+    """Spot-check scale/translation invariance, locality and boundedness of
+    a local functional on random subsets under a euclidean ``metric``; also
+    reports how often ``f > 0`` occurred (zero feasible hits usually means a
+    degenerate definition)."""
+    rng = np.random.default_rng(seed)
+    dim = metric.dim
+    k = functional.k
+    scale_bad = 0
+    local_bad = 0
+    bound_bad = 0
+    feasible = 0
+    max_dev = 0.0
+    for _ in range(trials):
+        r = 0.5 + rng.random()
+        spread = r * functional.r_max
+        points = rng.uniform(-spread, spread, size=(k, dim))
+        value = functional(points, r, metric)
+        if abs(value) > functional.xi_sup + VALUE_TOL:
+            bound_bad += 1
+        if value > 0.0:
+            feasible += 1
+        alpha = 0.5 + 1.5 * rng.random()
+        shift = rng.uniform(-5.0, 5.0, size=dim)
+        moved = functional(alpha * points + shift, alpha * r, metric)
+        dev = abs(moved - value)
+        max_dev = max(max_dev, dev)
+        if dev > VALUE_TOL:
+            scale_bad += 1
+        # force a diameter violation and require a zero value
+        if k > 1:
+            far = points.copy()
+            far[-1] = points[0] + _unit_vector(rng, dim) * (
+                functional.r_max * r * (1.1 + rng.random())
+            )
+            if functional(far, r, metric) != 0.0:
+                local_bad += 1
+    return InvarianceReport(
+        trials=trials,
+        scale_violations=scale_bad,
+        locality_violations=local_bad,
+        bound_violations=bound_bad,
+        max_deviation=max_dev,
+        feasible_fraction=feasible / trials,
+    )
+
+
+def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 if __name__ == "__main__":
     coarse = vacancy_rate_kappa_edges_j1_m1(48, 32, 32, 512)

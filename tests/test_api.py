@@ -1,8 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and the documented example that uses them."""
 import inspect
+from pathlib import Path
 
 import bdgeom
-from bdgeom import functionals, geometry, theory, verify
+from bdgeom import functionals, geometry, process, statistics, theory, verify
 
 REMOVED = (
     (theory, "vacancy_rate_integral_batch"),
@@ -22,6 +23,16 @@ REMOVED = (
     (functionals.NeighborhoodMap, "balls"),
     (functionals.NeighborhoodMap, "inside"),
     (verify, "_pattern_assignments"),
+    (theory, "mean_moment"),
+    (theory, "overlap_moment"),
+    (theory, "statistic_mean_variance"),
+    (process, "export_events"),
+    (process, "slice_at"),
+    (process.MarkedPoint, "alive_at"),
+    (functionals, "validate_functional"),
+    (functionals, "InvarianceReport"),
+    (functionals, "_unit_vector"),
+    (statistics, "TimeSeries"),
 )
 # parameters that had one value everywhere and became constants
 REMOVED_PARAMETERS = (
@@ -43,3 +54,10 @@ def test_public_names_resolve_and_removed_names_are_gone():
 def test_removed_parameters_are_gone():
     for function, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(function).parameters, (function.__name__, name)
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

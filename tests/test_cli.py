@@ -14,7 +14,7 @@ import pytest
 from bdgeom import cli, statistics, suite
 from bdgeom.cli import main
 from bdgeom.functionals import ConfigError
-from bdgeom.suite import CheckResult, worker_count
+from bdgeom.suite import CheckResult, map_tasks, worker_count
 
 
 def write_config(tmp_path, **fields):
@@ -510,6 +510,15 @@ def test_worker_count_is_bounded(monkeypatch):
     assert worker_count(4, 0) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert worker_count(10_000, 10_000) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_tasks_keeps_task_order_and_reports_each_result(jobs):
+    seen = []
+    assert map_tasks(abs, [-3, 1, -2, 5], jobs, seen.append) == [3, 1, 2, 5]
+    if jobs == 1:  # in order, each as it is computed
+        assert seen == [3, 1, 2, 5]
+    assert sorted(seen) == [1, 2, 3, 5]
 
 
 def test_module_entry_point(tmp_path):

@@ -20,7 +20,6 @@ from bdgeom.functionals import (
     make_subgraph,
     neighborhood_from_selector,
     pair_volumes,
-    validate_functional,
 )
 from bdgeom.geometry import Metric
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     lens_area,
     region_contains,
     triple_disk_area,
+    validate_functional,
 )
 
 E2 = Metric("euclidean", 2)
@@ -464,7 +464,7 @@ def test_intruder_counts_match_the_oracle(kind, selector):
     "selector", ["clique:2", "clique:3", "subgraph:3:0-1,1-2", "morse:1"]
 )
 def test_builtins_pass_validation(selector):
-    report = validate_functional(from_selector(selector), dim=2, trials=1000, seed=3)
+    report = validate_functional(from_selector(selector), E2, trials=1000, seed=3)
     assert report.ok, report
     assert report.feasible_fraction > 0.0
 
@@ -477,7 +477,7 @@ def test_validation_flags_scale_violation():
         xi_sup=10.0,
         batch=lambda pts, r, metric: (metric.pairwise_batch(pts, ([0], [1]))[:, 0] <= 0.7).astype(float),
     )
-    report = validate_functional(bad, dim=2, trials=500, seed=4)
+    report = validate_functional(bad, E2, trials=500, seed=4)
     assert report.scale_violations > 0
 
 
@@ -486,7 +486,7 @@ def test_validation_flags_locality_violation():
         name="bad-local", k=2, r_max=1.0, xi_sup=1.0,
         batch=lambda pts, r, metric: np.ones(len(pts)),
     )
-    report = validate_functional(bad, dim=2, trials=500, seed=5)
+    report = validate_functional(bad, E2, trials=500, seed=5)
     assert report.locality_violations > 0
 
 
@@ -495,5 +495,5 @@ def test_validation_flags_bound_violation():
         name="bad-bound", k=1, r_max=1.0, xi_sup=0.5,
         batch=lambda pts, r, metric: np.ones(len(pts)),
     )
-    report = validate_functional(bad, dim=2, trials=100, seed=6)
+    report = validate_functional(bad, E2, trials=100, seed=6)
     assert report.bound_violations > 0

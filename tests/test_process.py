@@ -1,5 +1,8 @@
 """Birth-death process: samplers, event engine, densities, configurations."""
+import itertools
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,22 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bdgeom.functionals import ConfigError
+from bdgeom.functionals import ConfigError, make_clique
 from bdgeom.geometry import Metric
 from bdgeom.process import (
+    MAX_COORDINATE,
     Configuration,
     Density,
-    Event,
-    MarkedPoint,
     SimulationConfig,
+    _marked_draw,
     alive_count_path,
     density_from_spec,
-    export_events,
     sample_marked,
     sample_stationary,
     simulate_events,
-    slice_at,
 )
+from bdgeom.statistics import evaluate_statistic
+from bdgeom.suite import _alive_at
 from bdgeom.verify import poisson_chi_square
 
 
@@ -178,7 +181,7 @@ def test_configuration_store_matches_a_dict_model(initial, steps, kind):
                 config.remove(pid)
             del model[pid]
         elif step != "remove":
-            pid = next_id + (gap if step == "gap" else 0)  # gaps as slice_at leaves them
+            pid = next_id + (gap if step == "gap" else 0)  # a caller may skip ids
             for config in (plain, indexed):
                 assert config.add(np.array(coords), pid=pid if step == "gap" else None) == pid
             model[pid] = metric.wrap(np.array(coords))
@@ -264,6 +267,48 @@ def test_from_points_checks_its_shape():
     for bad in (np.random.default_rng(0).random((5, 3)), np.zeros(3), np.zeros((0, 3)), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match=r"shape \(m, 2\)"):
             Configuration.from_points(bad, metric)
+
+
+# NaN, infinities, and finite sizes on both sides of MAX_COORDINATE
+COORDINATES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, MAX_COORDINATE, -MAX_COORDINATE]),
+    st.builds(lambda v, neg: -v if neg else v, st.floats(1e100, sys.float_info.max), st.booleans()),
+)
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+@pytest.mark.parametrize("kind", ["torus", "euclidean"])
+@given(st.booleans(), st.integers(0, 2), st.integers(0, 1), COORDINATES)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_store_takes_only_coordinates_it_can_measure(kind, indexed, by_add, row, axis, value):
+    metric = Metric(kind, 2)
+    pts = np.array([[0.2, 0.3], [0.21, 0.3], [0.6, 0.5]])
+    pts[row, axis] = value
+
+    def enter():
+        if not by_add:
+            return Configuration.from_points(pts, metric), row
+        return config, config.add(pts[row])
+
+    if by_add:  # the other two points first, indexed or not
+        config = Configuration.from_points(np.delete(pts, row, axis=0), metric)
+        if indexed:
+            config.build_index(0.1)
+    if not abs(value) <= MAX_COORDINATE:  # NaN too
+        where = rf"\[{axis}\]" if by_add else rf"\[{row}, {axis}\]"
+        with pytest.raises(ValueError, match=rf"coordinate {where} is {re.escape(str(value))}, not a finite"):
+            enter()
+        if by_add:  # nothing was stored
+            assert len(config) == 2 and config.next_id == 2
+        return
+    config, pid = enter()
+    if indexed and not by_add:
+        config.build_index(0.1)
+    assert np.array_equal(config.position(pid), metric.wrap(pts[row]))
+    assert pid in config.neighbors_within(config.position(pid), 0.05)
+    pos = config.positions_array()
+    want = sum(metric.distance(a, b) <= 0.05 for a, b in itertools.combinations(pos, 2))
+    assert evaluate_statistic(config, make_clique(2), 0.05) == want
 
 
 def test_neighbors_with_and_without_index_agree():
@@ -385,17 +430,17 @@ def test_marked_population_and_fractions():
 
 
 def test_slice_alive_window_boundaries():
-    metric = Metric("torus", 2)
-    marked = [
-        MarkedPoint(0, np.array([0.1, 0.1]), 0.0, 1.0),
-        MarkedPoint(1, np.array([0.2, 0.2]), 0.5, 0.5),
-        MarkedPoint(2, np.array([0.3, 0.3]), 1.0, 2.0),
-    ]
-    assert set(slice_at(marked, 0.0, metric).ids()) == {0}
-    assert set(slice_at(marked, 0.5, metric).ids()) == {0, 1}
+    births = np.array([0.0, 0.5, 1.0])
+    ends = np.array([1.0, 1.0, 3.0])
+
+    def alive(t):
+        return set(np.flatnonzero(_alive_at(births, ends, t)).tolist())
+
+    assert alive(0.0) == {0}
+    assert alive(0.5) == {0, 1}
     # deaths at exactly t are excluded, births at exactly t included
-    assert set(slice_at(marked, 1.0, metric).ids()) == {2}
-    assert set(slice_at(marked, 3.5, metric).ids()) == set()
+    assert alive(1.0) == {2}
+    assert alive(3.5) == set()
 
 
 def test_cross_sampler_counts_agree_in_law():
@@ -406,22 +451,7 @@ def test_cross_sampler_counts_agree_in_law():
         initial = sample_stationary(config, config.rng(3 * rep))
         stream = simulate_events(config, initial, config.rng(3 * rep + 1))
         via_events[rep] = alive_count_path(stream, [1.0])[0]
-        marked = sample_marked(config, config.rng(3 * rep + 2))
-        via_marked[rep] = len(slice_at(marked, 1.0, config.metric))
+        _, births, lifetimes = _marked_draw(config, config.rng(3 * rep + 2))
+        via_marked[rep] = np.count_nonzero(_alive_at(births, births + lifetimes, 1.0))
     _, p = stats.ks_2samp(via_events, via_marked)
     assert p > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_export_events_csv(tmp_path):
-    config = _config(n=15.0, horizon=1.0, seed=4)
-    initial = sample_stationary(config, config.rng(0))
-    stream = simulate_events(config, initial, config.rng(1))
-    path = tmp_path / "events.csv"
-    export_events(stream, str(path), dim=2)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["time", "kind", "id", "x1", "x2", "lifetime"]
-    assert len(lines) == len(stream) + 1

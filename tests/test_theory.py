@@ -22,17 +22,13 @@ from bdgeom.process import Density
 from bdgeom.theory import (
     HARMONIC_GROUPS,
     CovarianceModel,
-    IntegralEstimate,
     TruncationError,
     _exclusive_harmonics,
     _shared_tuples,
     exclusive_mixture_model,
-    mean_moment,
     mixture_model,
-    overlap_moment,
     rate_integral,
     simulate_ou_superposition,
-    statistic_mean_variance,
     unit_ball_volume,
 )
 from oracles import region_contains
@@ -52,52 +48,6 @@ def test_unit_ball_volume():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
-
-
-# -- plain moment integrals ----------------------------------------------------
-
-
-def test_mean_moment_closed_form():
-    r = 0.2
-    est = mean_moment(make_clique(2), UNIFORM2, r, budget=50_000, seed=1)
-    exact = math.pi * r * r
-    assert abs(est.value - exact) < 4.0 * est.std_error + 1e-12
-    assert est.method == "monte-carlo"
-
-
-def test_overlap_moment_closed_forms():
-    r = 0.2
-    f = make_clique(2)
-    # two pairs sharing a point: the two indicator events are independent
-    est1 = overlap_moment(f, UNIFORM2, r, shared=1, budget=50_000, seed=2)
-    assert abs(est1.value - (math.pi * r * r) ** 2) < 4.0 * est1.std_error + 1e-12
-    # fully shared: the indicator squares to itself
-    est2 = overlap_moment(f, UNIFORM2, r, shared=2, budget=50_000, seed=3)
-    assert abs(est2.value - math.pi * r * r) < 4.0 * est2.std_error + 1e-12
-
-
-def test_overlap_moment_shared_zero_squares_mean():
-    f = make_clique(2)
-    base = mean_moment(f, UNIFORM2, 0.15, budget=10_000, seed=4)
-    est = overlap_moment(f, UNIFORM2, 0.15, shared=0, budget=10_000, seed=4)
-    assert est.value == base.value**2
-
-
-def test_overlap_moment_validates_shared():
-    with pytest.raises(ValueError):
-        overlap_moment(make_clique(2), UNIFORM2, 0.1, shared=3, budget=10)
-
-
-def test_statistic_mean_variance_arithmetic():
-    mean_mom = IntegralEstimate(0.5, 0.0, "closed-form")
-    overlaps = {
-        1: IntegralEstimate(0.25, 0.0, "closed-form"),
-        2: IntegralEstimate(0.5, 0.0, "closed-form"),
-    }
-    mean, var = statistic_mean_variance(10.0, 2, mean_mom, overlaps)
-    # lead = 100/2 = 50; var = 50 * (2 * 10 * 0.25 + 1 * 0.5)
-    assert mean.value == pytest.approx(25.0, rel=1e-14)
-    assert var.value == pytest.approx(275.0, rel=1e-14)
 
 
 # -- scale-free rate integrals ---------------------------------------------------

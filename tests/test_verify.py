@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bdgeom.process import Density, SimulationConfig, sample_stationary
-from bdgeom.statistics import TimeSeries
 from bdgeom.suite import _battery_cases
 from bdgeom.theory import CovarianceModel, simulate_ou_superposition
 from bdgeom.verify import (
@@ -56,15 +55,14 @@ def test_covariance_recovers_ou_curve():
     assert np.all(np.abs(est.values - target) <= est.half_widths + 0.02)
 
 
-def test_covariance_accepts_time_series_and_validates_grid():
+def test_covariance_validates_the_grid():
     times = np.array([0.0, 1.0, 2.0])
-    rng = np.random.default_rng(3)
-    paths = [TimeSeries(times, rng.standard_normal(3), rep=i) for i in range(5)]
-    est = estimate_covariance(paths, [1.0])
-    assert est.n_paths == 5
-    bad = paths[:4] + [TimeSeries(times + 0.5, np.zeros(3), rep=9)]
-    with pytest.raises(ValueError):
-        estimate_covariance(bad, [1.0])
+    matrix = np.random.default_rng(3).standard_normal((5, 3))
+    assert estimate_covariance((times, matrix), [1.0]).n_paths == 5
+    # one column per grid time, no fewer and no more
+    for bad in (matrix[:, :2], np.hstack([matrix, matrix[:, :1]]), matrix[0]):
+        with pytest.raises(ValueError, match="grid"):
+            estimate_covariance((times, bad), [1.0])
 
 
 def test_covariance_input_validation():
