@@ -11,10 +11,10 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,16 +56,17 @@ class Metric:
         return float(np.sqrt(np.sum(delta * delta)))
 
     def distance_many(self, x: NDArray, points: NDArray) -> NDArray:
-        """Distances from ``x`` to each row of ``points``."""
+        """Distances from ``x`` to each row of ``points``; ``x`` is one
+        point or, broadcast against ``points``, one point per row."""
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
-            return np.zeros(0)
+            pts = pts.reshape(0, self.dim)
         delta = pts - np.asarray(x, dtype=float)
         if self.kind == "torus":
             delta -= delta.round()
         # array methods: the arithmetic of np.round and np.sum without their
         # wrappers' per-call cost, which dominates on the few rows of one event
-        return np.sqrt((delta * delta).sum(axis=1))
+        return np.sqrt((delta * delta).sum(axis=-1))
 
     def pairwise(self, points: NDArray) -> NDArray:
         """Full pairwise distance matrix for the rows of ``points``."""
@@ -117,20 +118,55 @@ class Metric:
         return np.asarray(x, dtype=float)
 
 
+# query points x cells of their covering blocks held at once by one
+# candidate pass of ``GridIndex``
+QUERY_BLOCK = 2**16
+
+
+def csr_starts(rows: NDArray, count: int) -> NDArray:
+    """Offsets ``(count + 1,)`` of a CSR whose entries, once grouped by
+    row, have the row numbers ``rows``: row ``i`` owns entries
+    ``starts[i]:starts[i + 1]``."""
+    starts = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=count), out=starts[1:])
+    return starts
+
+
+def csr_rows(starts: NDArray) -> NDArray:
+    """The row number of each entry of a CSR with offsets ``starts``."""
+    return np.repeat(np.arange(len(starts) - 1), starts[1:] - starts[:-1])
+
+
+def expand_ranges(lo: NDArray, counts: NDArray) -> tuple[NDArray, NDArray]:
+    """The ranges ``lo[i] .. lo[i] + counts[i] - 1`` concatenated: for each
+    element, the ``i`` it belongs to and its value."""
+    owner = np.repeat(np.arange(len(lo)), counts)
+    return owner, np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(owner))
+
+
 class GridIndex:
-    """Uniform-grid index of keys by cell.
+    """Uniform-grid index of non-negative integer keys by cell.
 
     Cells are cubes of edge ``cell_size`` (on the torus the edge is rounded
     down to ``1/m`` for an integer ``m`` so the grid tiles the cube).  The
-    index keeps each key's cell and the keys of each cell, and no
-    positions: ``candidates`` lists the keys in the block of cells that
-    covers a ball, and ``query`` filters them by exact distance against
-    the caller's position array, so its results are exact for every
-    radius; ``cell_size`` only affects speed.
+    index keeps each key's cell code and one array of the keys sorted by
+    code, which ``insert`` and ``remove`` change in place; it keeps no
+    positions.  ``candidates`` lists, for a stack of points, the keys in
+    the block of cells that covers each point's ball, all points in one
+    array pass, and ``query`` filters them by exact distance against the
+    caller's position array, so its results are exact for every radius;
+    ``cell_size`` only affects speed.
+
+    A cell's code is its integer coordinates folded into one ``int64``
+    (exactly on small grids; beyond them distinct cells may share a code,
+    which only adds candidates).  Euclidean cell coordinates are clipped
+    to ``+-2**62``, which keeps every ball inside its block.
     """
 
+    _LIMIT = 2.0**62
+
     def __init__(self, metric: Metric, cell_size: float):
-        if cell_size <= 0.0:
+        if not cell_size > 0.0:
             raise ValueError("cell_size must be positive")
         self.metric = metric
         if metric.kind == "torus":
@@ -139,75 +175,155 @@ class GridIndex:
         else:
             self._cells_per_axis = 0  # unbounded
             self._edge = float(cell_size)
-        self._cells: dict[tuple[int, ...], list[Hashable]] = {}
-        self._cell: dict[Hashable, tuple[int, ...]] = {}
+        self._weights = np.left_shift(np.int64(1), (62 // metric.dim) * np.arange(metric.dim, dtype=np.int64))
+        self._present = np.zeros(0, dtype=bool)
+        self._codes = np.zeros(0, dtype=np.int64)  # sorted
+        self._keys = np.zeros(0, dtype=np.intp)  # in code order
 
     def __len__(self) -> int:
-        return len(self._cell)
+        return len(self._keys)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._cell
+    def __contains__(self, key: int) -> bool:
+        return 0 <= key < len(self._present) and bool(self._present[key])
 
-    def ids(self) -> Iterable[Hashable]:
-        return self._cell.keys()
+    def ids(self) -> NDArray:
+        return np.flatnonzero(self._present)
 
-    def insert(self, keys: Sequence[Hashable], points: NDArray) -> None:
-        """Index ``keys`` at the rows of ``points`` ``(n, d)``; the cells
-        come from one array pass and are kept, so no later change to the
-        caller's array moves a key."""
-        floors = np.floor(np.asarray(points, dtype=float) / self._edge).tolist()
-        # int() raises for a NaN or infinite coordinate, which has no cell
+    def _floors(self, points: NDArray) -> NDArray:
+        """Integer-valued float cell coordinates of the rows of ``points``."""
+        floors = np.floor(points / self._edge)
+        if self.metric.kind == "euclidean":
+            np.clip(floors, -self._LIMIT, self._LIMIT, out=floors)
+        return floors
+
+    def _code(self, cells: NDArray) -> NDArray:
+        """One ``int64`` per cell of ``cells`` ``(..., d)``; integer
+        overflow wraps, so distinct cells may share a code."""
         if self.metric.kind == "torus":
-            m = self._cells_per_axis
-            cells = [tuple(int(c) % m for c in row) for row in floors]
-        else:
-            cells = [tuple(map(int, row)) for row in floors]
-        placed = dict(zip(keys, cells))
-        if len(placed) != len(keys) or not self._cell.keys().isdisjoint(placed):
-            raise KeyError(f"ids already indexed among {list(keys)!r}")
-        self._cell.update(placed)
-        for key, cell in placed.items():
-            self._cells.setdefault(cell, []).append(key)
+            cells = np.mod(cells, self._cells_per_axis)
+        return (cells.astype(np.int64) * self._weights).sum(axis=-1)
 
-    def remove(self, key: Hashable) -> None:
-        cell = self._cell.pop(key)
-        bucket = self._cells[cell]
-        bucket.remove(key)
-        if not bucket:
-            del self._cells[cell]
+    def insert(self, keys: Sequence[int], points: NDArray) -> None:
+        """Index ``keys`` at the rows of ``points`` ``(n, d)``; the cells are
+        kept, so no later change to the caller's array moves a key.  A
+        ``KeyError`` for a key already indexed or repeated, a ``ValueError``
+        for a NaN or infinite coordinate, which has no cell; a refused call
+        indexes nothing."""
+        keys = np.asarray(keys, dtype=np.intp).reshape(-1)
+        pts = np.asarray(points, dtype=float).reshape(len(keys), self.metric.dim)
+        if not np.isfinite(pts).all():
+            raise ValueError("a position with a NaN or infinite coordinate has no grid cell")
+        if len(keys) and keys.min() < 0:
+            raise KeyError(f"keys must be non-negative, got {keys.tolist()!r}")
+        top = int(keys.max(initial=-1)) + 1
+        if top > len(self._present):
+            grown = np.zeros(max(top, 2 * len(self._present)), dtype=bool)
+            grown[: len(self._present)] = self._present
+            self._present = grown
+        if _repeats(keys) or self._present[keys].any():
+            raise KeyError(f"ids already indexed among {keys.tolist()!r}")
+        codes = self._code(self._floors(pts))
+        order = np.argsort(codes, kind="stable")
+        # the merged arrays: each new entry after the equal codes before it
+        at = np.searchsorted(self._codes, codes[order], side="right") + np.arange(len(keys))
+        old = np.ones(len(self._codes) + len(keys), dtype=bool)
+        old[at] = False
+        for name, new in (("_codes", codes[order]), ("_keys", keys[order])):
+            merged = np.empty(len(old), dtype=new.dtype)
+            merged[old] = getattr(self, name)
+            merged[at] = new
+            setattr(self, name, merged)
+        self._present[keys] = True
 
-    def _candidate_cells(self, x: NDArray, rho: float) -> Iterable[tuple[int, ...]]:
+    def remove(self, keys) -> None:
+        """Drop one key or an array of keys; a ``KeyError`` unless every one
+        is indexed."""
+        keys = np.asarray(keys, dtype=np.intp).reshape(-1)
+        # the range test first, with negative keys read as huge unsigned ones
+        known = (keys.view(np.uintp) < len(self._present)).all() and self._present[keys].all()
+        if not known or _repeats(keys):
+            raise KeyError(f"ids not all indexed: {keys.tolist()!r}")
+        self._present[keys] = False
+        keep = self._present[self._keys]
+        self._codes = self._codes[keep]
+        self._keys = self._keys[keep]
+
+    def _pairs(self, xs: NDArray, rho: float) -> tuple[NDArray, NDArray]:
+        """``(rows, keys)``: each key in the block of cells that covers the
+        closed ``rho``-ball around row ``rows[i]`` of ``xs`` (every key when
+        the block has more than ``QUERY_BLOCK`` cells), in no order and
+        possibly more than once."""
+        if not np.isfinite(xs).all():
+            raise ValueError("a query point with a NaN or infinite coordinate has no grid cell")
         pad = padded_radius(rho)
-        spans = [
-            range(math.floor((c - pad) / self._edge), math.floor((c + pad) / self._edge) + 1)
-            for c in np.asarray(x, dtype=float).tolist()
-        ]
+        low = self._floors(xs - pad)
+        width = (self._floors(xs + pad) - low).astype(np.int64) + 1
         if self.metric.kind == "torus":
+            # a block that wraps an axis covers all of it, each cell once
             m = self._cells_per_axis
-            if max(len(span) for span in spans) >= m:
-                # query ball wraps the whole axis; visit each cell once
-                return list(self._cells.keys())
-            spans = [[c % m for c in span] for span in spans]
-        return itertools.product(*spans)
+            full = width >= m
+            low[full], width[full] = 0.0, m
+        span = int(width.max(initial=1))
+        if span**self.metric.dim > QUERY_BLOCK:
+            # a block of more cells than one pass holds: every key is a candidate
+            return np.repeat(np.arange(len(xs)), len(self._keys)), np.tile(self._keys, len(xs))
+        offsets = _block_offsets(span, self.metric.dim)
+        block = QUERY_BLOCK // len(offsets)
+        rows, keys = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for first in range(0, len(xs), block):
+            part = slice(first, first + block)
+            owner, which = np.nonzero((offsets < width[part, None, :]).all(axis=-1))
+            codes = self._code(low[part][owner] + offsets[which])
+            lo = np.searchsorted(self._codes, codes, side="left")
+            cell, at = expand_ranges(lo, np.searchsorted(self._codes, codes, side="right") - lo)
+            rows.append(owner[cell] + first)
+            keys.append(self._keys[at])
+        return np.concatenate(rows), np.concatenate(keys)
 
-    def candidates(self, x: NDArray, rho: float) -> list[Hashable]:
-        """Keys in the cells that cover the closed ``rho``-ball around ``x``:
-        every key within distance ``rho`` of ``x`` and some farther ones."""
-        found: list[Hashable] = []
-        for cell in self._candidate_cells(x, rho):
-            bucket = self._cells.get(cell)
-            if bucket:
-                found.extend(bucket)
-        return found
+    def _ascending(self, rows: NDArray, keys: NDArray, count: int) -> tuple[NDArray, NDArray]:
+        """The CSR of ``count`` rows from ``(rows, keys)`` pairs, each row's
+        keys ascending and unique, by one sort of ``(row, key)``."""
+        width = max(len(self._present), 1)
+        pairs = np.sort(rows.astype(np.int64) * width + keys)
+        fresh = np.ones(len(pairs), dtype=bool)
+        np.not_equal(pairs[1:], pairs[:-1], out=fresh[1:])
+        pairs = pairs[fresh]
+        rows, keys = np.divmod(pairs, width)
+        return csr_starts(rows, count), keys.astype(np.intp)
 
-    def query(self, x: NDArray, rho: float, positions: NDArray) -> NDArray:
-        """Ascending ids within closed distance ``rho`` of ``x``, as an
-        ``np.intp`` array; the keys are integer ids and row ``i`` of
-        ``positions`` is the position of id ``i``."""
-        found = np.array(self.candidates(x, rho), dtype=np.intp)
-        found = found[self.metric.distance_many(x, positions[found]) <= rho]
-        found.sort()
-        return found
+    def candidates(self, xs: NDArray, rho: float) -> tuple[NDArray, NDArray]:
+        """Keys in the cells that cover the closed ``rho``-ball around each
+        row of ``xs`` ``(q, d)`` (every key for a block of more than
+        ``QUERY_BLOCK`` cells): every key within distance ``rho`` and some
+        farther ones, as a CSR ``(starts, keys)`` with each row's keys
+        ascending and unique."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.metric.dim)
+        return self._ascending(*self._pairs(xs, rho), len(xs))
+
+    def query(self, xs: NDArray, rho: float, positions: NDArray) -> tuple[NDArray, NDArray]:
+        """Ids within closed distance ``rho`` of each row of ``xs``
+        ``(q, d)``, as a CSR ``(starts, ids)`` of ``np.intp`` arrays with
+        each row's ids ascending: row ``i`` holds ``ids[starts[i]:starts[i +
+        1]]``.  Row ``j`` of ``positions`` is the position of id ``j``."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.metric.dim)
+        rows, found = self._pairs(xs, rho)
+        near = self.metric.distance_many(xs[rows], positions[found]) <= rho
+        return self._ascending(rows[near], found[near], len(xs))
+
+
+def _repeats(keys: NDArray) -> bool:
+    """Whether some key appears more than once."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+@functools.lru_cache(maxsize=64)
+def _block_offsets(span: int, dim: int) -> NDArray:
+    """Cell offsets ``(span**dim, dim)`` of a block of ``span`` cells per
+    axis; read-only, as it is shared by every call."""
+    offsets = np.indices((span,) * dim).reshape(dim, -1).T
+    offsets.flags.writeable = False
+    return offsets
 
 
 @dataclass(frozen=True)

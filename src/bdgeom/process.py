@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .functionals import ConfigError
-from .geometry import GridIndex, Metric
+from .geometry import GridIndex, Metric, csr_starts
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,8 @@ class Configuration:
     and a written row never changes.  ``build_index`` attaches a uniform-grid
     index of the ids, which filters its candidates against this same
     array; neighbor queries fall back to a full scan when no index exists.
-    ``from_points`` and ``add`` store nothing unless every coordinate is
-    finite and at most ``MAX_COORDINATE`` in size.
+    ``from_points``, ``add`` and ``apply_events`` store nothing unless every
+    coordinate is finite and at most ``MAX_COORDINATE`` in size.
     """
 
     def __init__(self, metric: Metric):
@@ -286,19 +286,27 @@ class Configuration:
             raise KeyError(f"point ids not all alive: {pids!r}")
         return self._pos[idx]
 
-    def add(self, position: NDArray, pid: Optional[int] = None) -> int:
+    def _checked_position(self, position: NDArray) -> NDArray:
         position = np.asarray(position, dtype=float)
         if position.shape != (self.metric.dim,):
             raise ValueError(f"position must have shape ({self.metric.dim},), got {position.shape}")
+        return position
+
+    def _reserve(self, size: int) -> None:
+        """Grow both arrays, at least doubling them, to hold ids below ``size``."""
+        if size > len(self._alive):
+            grow = max(len(self._alive), size - len(self._alive))
+            self._pos = np.pad(self._pos, ((0, grow), (0, 0)))
+            self._alive = np.pad(self._alive, (0, grow))
+
+    def add(self, position: NDArray, pid: Optional[int] = None) -> int:
+        position = self._checked_position(position)
         _check_coordinates(position)
         if pid is None:
             pid = self._next_id
         if pid < self._next_id:
             raise KeyError(f"point id {pid} was already issued")
-        if pid >= len(self._alive):  # grow both arrays, at least doubling them
-            grow = max(len(self._alive), pid + 1 - len(self._alive))
-            self._pos = np.pad(self._pos, ((0, grow), (0, 0)))
-            self._alive = np.pad(self._alive, (0, grow))
+        self._reserve(pid + 1)
         self._pos[pid] = self.metric.wrap(position)
         self._alive[pid] = True
         self._next_id = pid + 1
@@ -313,6 +321,42 @@ class Configuration:
         if self._grid is not None:
             self._grid.remove(pid)
 
+    def apply_events(self, events: Sequence[Event]) -> None:
+        """Apply a time-ordered batch of events as one update of its net
+        change.  Every birth gets ``add``'s checks, one born and dead inside
+        the batch too: its id must not be issued yet and its position must
+        have shape ``(d,)`` with every coordinate finite and at most
+        ``MAX_COORDINATE`` in size.  A death must name a point alive at its
+        turn.  A refused batch changes nothing."""
+        next_id = self._next_id
+        births: list[NDArray] = []
+        born: dict[int, int] = {}  # id -> row in births, while alive
+        died: dict[int, None] = {}  # ordered, with set lookups
+        for event in events:
+            pid = event.point.pid
+            if event.kind == "birth":
+                if pid < next_id:
+                    raise KeyError(f"point id {pid} was already issued")
+                born[pid] = len(births)
+                births.append(self._checked_position(event.point.position))
+                next_id = pid + 1
+            elif born.pop(pid, None) is None:
+                if pid not in self or pid in died:
+                    raise KeyError(pid)
+                died[pid] = None
+        points = np.array(births, dtype=float).reshape(-1, self.metric.dim)
+        _check_coordinates(points)
+        kept = np.fromiter(born, dtype=np.intp, count=len(born))
+        self._reserve(next_id)
+        self._pos[kept] = self.metric.wrap(points[list(born.values())])
+        gone = np.fromiter(died, dtype=np.intp, count=len(died))
+        self._alive[kept] = True
+        self._alive[gone] = False
+        self._next_id = next_id
+        if self._grid is not None:
+            self._grid.remove(gone)
+            self._grid.insert(kept, self._pos[kept])
+
     def build_index(self, cell_size: float) -> None:
         grid = GridIndex(self.metric, cell_size)
         ids = self.ids()
@@ -323,13 +367,17 @@ class Configuration:
     def indexed(self) -> bool:
         return self._grid is not None
 
-    def neighbors_within(self, x: NDArray, rho: float) -> NDArray:
-        """Ascending ``np.intp`` ids of the alive points within closed
-        distance ``rho`` of ``x``."""
+    def neighbors_within(self, xs: NDArray, rho: float) -> tuple[NDArray, NDArray]:
+        """The alive points within closed distance ``rho`` of each row of
+        ``xs`` ``(q, d)``, as a CSR ``(starts, ids)`` of ``np.intp`` arrays
+        with each row's ids ascending (as from ``GridIndex.query``).
+        Without an index every point is tested against every row."""
         if self._grid is not None:
-            return self._grid.query(x, rho, self._pos)
+            return self._grid.query(xs, rho, self._pos)
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.metric.dim)
         pids = self.ids()
-        return pids[self.metric.distance_many(x, self._pos[pids]) <= rho]
+        rows, cols = np.nonzero(self.metric.distance_many(xs[:, None, :], self._pos[pids]) <= rho)
+        return csr_starts(rows, len(xs)), pids[cols]
 
     def apply_event(self, event: Event) -> None:
         if event.kind == "birth":
@@ -434,15 +482,30 @@ def sample_marked(
     return list(map(MarkedPoint, range(len(births)), positions, births.tolist(), lifetimes.tolist()))
 
 
+def _checked_times(times: Sequence[float]) -> NDArray:
+    """Sample times as an array; a ``ValueError`` unless they are a finite,
+    non-decreasing sequence."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all() or (np.diff(times) < 0).any():
+        raise ValueError(f"sample times must be a finite, non-decreasing sequence, got shape {times.shape}")
+    return times
+
+
+def stream_cuts(stream: EventStream, times: Sequence[float]) -> NDArray:
+    """For each sample time, the number of leading events of the stream
+    with ``time <= t``, from one ``searchsorted``.  A ``ValueError`` unless
+    the times are finite and non-decreasing and the event times do not
+    decrease."""
+    times = _checked_times(times)
+    event_times = np.fromiter((event.time for event in stream.events), dtype=float, count=len(stream.events))
+    if (event_times[1:] < event_times[:-1]).any():
+        raise ValueError("event times must not decrease")
+    return np.searchsorted(event_times, times, side="right")
+
+
 def alive_count_path(stream: EventStream, times: Sequence[float]) -> NDArray:
-    """Alive-point counts at the given increasing times."""
-    counts = np.zeros(len(times), dtype=int)
-    current = stream.initial_count
-    idx = 0
-    for event in stream.events:
-        while idx < len(times) and times[idx] < event.time:
-            counts[idx] = current
-            idx += 1
-        current += 1 if event.kind == "birth" else -1
-    counts[idx:] = current
-    return counts
+    """Alive-point counts at the given non-decreasing times."""
+    cuts = stream_cuts(stream, times)
+    births = np.fromiter((event.kind == "birth" for event in stream.events), dtype=int, count=len(stream.events))
+    running = np.concatenate([[0], np.cumsum(2 * births - 1)])
+    return stream.initial_count + running[cuts]

@@ -5,11 +5,16 @@ the alive configuration (only subsets of diameter ``<= r * r_max`` can
 contribute, so the sum is maintained locally).  With a neighborhood map the
 exclusive variant is tracked instead: each subset contributes only while its
 neighborhood region contains no alive point outside the subset itself (the
-tracker counts those occupants per subset, up on a birth, down on a death).
+tracker counts those occupants per subset).
+
+The tracker takes events in batches: ``replay`` cuts a stream at the sample
+times and hands each piece to ``SubsetTracker.apply_events``, which applies
+the piece's net change (the deaths of points alive at its start, the births
+of points alive at its end) as a few stacked array updates, and then to
+``Configuration.apply_events``.
 """
 from __future__ import annotations
 
-import functools
 import math
 from itertools import chain, combinations
 from typing import Optional, Sequence
@@ -19,8 +24,17 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .functionals import BallUnionRegion, ConfigError, LocalFunctional, NeighborhoodMap
-from .geometry import GridIndex, Metric, padded_radius
-from .process import Configuration, Event, EventStream, SimulationConfig, sample_stationary, simulate_events
+from .geometry import GridIndex, Metric, csr_rows, csr_starts, expand_ranges, padded_radius
+from .process import (
+    Configuration,
+    Event,
+    EventStream,
+    SimulationConfig,
+    _checked_times,
+    sample_stationary,
+    simulate_events,
+    stream_cuts,
+)
 
 
 class KahanSum:
@@ -45,21 +59,43 @@ class KahanSum:
 
 # slots the exclusive registry starts with; it doubles when full
 INITIAL_SLOTS = 64
+# (point, region) pairs x balls held at once by one stacked containment test
+CONTAINS_BLOCK = 2**15
 
 
 class SubsetTracker:
     """Incremental tracker of one subset statistic over a configuration.
 
-    The configuration must be kept in lockstep by the caller: for each
-    event, call ``apply_event`` first (it reads the pre-event state), then
-    ``config.apply_event``.  ``replay`` does this bookkeeping.
+    ``apply_events(events)`` is the one update: it reads the configuration
+    as it was before the batch, so the caller applies a batch to every
+    tracker first and then to the configuration (``replay`` does this
+    bookkeeping).  A batch counts by its net change: the deaths of points
+    alive at its start and the births of points still alive at its end; a
+    point born and dead inside it is never seen.  It runs in three phases:
+
+    1. subsets that lose a member leave (plain mode: the subsets with a
+       dying member are enumerated, each once under its smallest dying id);
+    2. in exclusive mode, every surviving region gains the newcomers and
+       loses the dying points inside it, and the subsets whose occupant
+       count crosses 0 flip in or out of the sum;
+    3. the new subsets, those with a newcomer, are scored and, in exclusive
+       mode, registered with their occupant counts; each is counted once,
+       under its smallest new id.
+
+    Every phase works on stacks: one query of the region anchors serves
+    phases 1 and 2 in exclusive mode, one query of the stored points serves
+    phase 3 and, in plain mode, phase 1, each phase scores its subsets in
+    one call, and containment is tested in blocks of at most
+    ``CONTAINS_BLOCK`` pairs.  The initial enumeration is phase 3 with
+    every point a newcomer.
 
     In exclusive mode the registered subsets live in slot arrays: the
-    centres ``(cap, m, d)`` and radii ``(cap, m)`` of each region (from
-    ``NeighborhoodMap.build``), the value ``xi`` and the ``occupants``
-    count.  Slot ``i`` holds subset ``_keys[i]`` and
-    ``_slot`` maps it back; an evicted slot is refilled from the end, so
-    slots ``0 .. registry_size - 1`` are always the live ones.
+    member ids ``(cap, k)`` (ascending), the centres ``(cap, m, d)`` and
+    radii ``(cap, m)`` of each region (from ``NeighborhoodMap.build``), the
+    value ``xi`` and the ``occupants`` count, with a ``live`` mask.  A
+    ``GridIndex`` of the live slots by their regions' first centres finds
+    the regions near a changed point; an evicted slot is refilled by a
+    later admission.
     """
 
     def __init__(
@@ -74,22 +110,29 @@ class SubsetTracker:
         self.f = functional
         self.r = float(r)
         self.nbhd = neighborhood
+        self._cell = max(self.enum_radius, self.max_reach, 1e-6)
         if not config.indexed:
-            config.build_index(max(self.enum_radius, self.max_reach, 1e-6))
+            config.build_index(self._cell)
         self._sum = KahanSum()
-        self._keys: list[frozenset] = []
-        self._slot: dict[frozenset, int] = {}
-        self._member_keys: dict[int, set[frozenset]] = {}
+        # the radius of the one query for newcomers (and, in plain mode,
+        # dying points): in exclusive mode it reaches every point of a
+        # newcomer's regions, and the enumeration keeps the pairs within
+        # ``enum_radius``
+        self._radius = self.enum_radius
         if neighborhood is not None:
-            # grid of region anchors (first centres), keyed by subset
-            self._anchor_grid = GridIndex(config.metric, max(self.max_reach, 1e-6))
+            self._radius = padded_radius(max(self.enum_radius, neighborhood.reach_scale1(functional) * self.r))
+            self._anchors = GridIndex(config.metric, max(self.max_reach, 1e-6))
             width = functional.k if neighborhood.kind == "balls" else 1
             dim = config.metric.dim
+            self._members = np.empty((INITIAL_SLOTS, functional.k), dtype=np.intp)
             self._centers = np.empty((INITIAL_SLOTS, width, dim))
             self._radii = np.empty((INITIAL_SLOTS, width))
             self._xi = np.empty(INITIAL_SLOTS)
             self._occupants = np.empty(INITIAL_SLOTS, dtype=np.intp)
-        self._init_scan()
+            self._live = np.zeros(INITIAL_SLOTS, dtype=bool)
+        ids = config.ids()
+        pts = config.positions_array(ids)
+        self._admit(ids, pts, 0, self._neighbours(pts))
 
     @property
     def value(self) -> float:
@@ -97,192 +140,229 @@ class SubsetTracker:
 
     @property
     def registry_size(self) -> int:
-        return len(self._keys)
-
-    # -- initial enumeration ------------------------------------------------
-
-    def _init_scan(self) -> None:
-        for anchor in self.config.ids().tolist():
-            near = self._near(self.config.position(anchor))
-            pids = np.append(anchor, near[near > anchor])
-            self._admit(pids, self.config.positions_array(pids), 0)
-
-    def _near(self, x: NDArray) -> NDArray:
-        """Ascending ids within the enumeration radius of ``x``; ``k = 1``
-        subsets have no other members, so no query is made for them."""
-        if self.f.k == 1:
-            return np.empty(0, dtype=np.intp)
-        return self.config.neighbors_within(x, self.enum_radius)
-
-    def _scored(
-        self, pids: NDArray, pts: NDArray, must: int
-    ) -> tuple[NDArray, NDArray, Optional[BallUnionRegion]]:
-        """``(members, values, regions)`` of the ``k``-subsets of ``pids``
-        that contain ``pids[must]`` and count: a nonzero value and, in
-        exclusive mode, a region (``None`` in plain mode and where none
-        counts).  ``members`` is ``(B, k)`` ids; all candidates are scored
-        in one call.
-
-        ``pids`` ascends (``pts`` holds their positions), so members reach
-        the functional in id order, as in the evaluator.
-        """
-        if len(pids) < self.f.k:
-            return np.empty((0, self.f.k), dtype=np.intp), np.empty(0), None
-        rows = _combination_rows(len(pids), must, self.f.k)
-        stack = pts[rows]
-        if self.nbhd is None:
-            vals = self.f.batch(stack, self.r, self.config.metric)
-            live = np.flatnonzero(vals)
-            return pids[rows[live]], vals[live], None
-        live, vals, region = self.nbhd.score(self.f, stack, self.r, self.config.metric)
-        return pids[rows[live]], vals, region
-
-    def _admit(self, pids: NDArray, pts: NDArray, must: int) -> None:
-        """Count or register the scored subsets of ``pids`` that contain
-        ``pids[must]``; their occupants are counted in one call and their
-        anchor cells found in one pass."""
-        members, vals, region = self._scored(pids, pts, must)
-        if self.nbhd is None:
-            for val in vals.tolist():
-                self._sum.add(val)
-            return
-        if not len(members):
-            return
-        occupants = self._occupants_of(pts[must], members, region)
-        first = len(self._keys)
-        stop = first + len(members)
-        self._reserve(stop)
-        self._centers[first:stop] = region.centers
-        self._radii[first:stop] = region.radii
-        self._xi[first:stop] = vals
-        self._occupants[first:stop] = occupants
-        keys = list(map(frozenset, members.tolist()))
-        self._slot.update(zip(keys, range(first, stop)))
-        self._keys.extend(keys)
-        for key in keys:
-            for pid in key:
-                self._member_keys.setdefault(pid, set()).add(key)
-        self._anchor_grid.insert(keys, region.centers[:, 0])
-        for val in vals[occupants == 0].tolist():
-            self._sum.add(val)
-
-    def _occupants_of(self, x: NDArray, members: NDArray, region: BallUnionRegion) -> NDArray:
-        """Alive non-members inside each region of the ``(B, k)`` subsets
-        ``members`` that all have a member at ``x``, from one neighbour
-        query around ``x``."""
-        # each region lies within its centres' distance from x plus their radii
-        gaps = self.config.metric.distance_many(x, region.centers.reshape(-1, len(x)))
-        reach = float(np.max(gaps + region.radii.ravel()))
-        others = self.config.neighbors_within(x, padded_radius(reach))
-        hit = region.contains_many(self.config.positions_array(others))
-        hit &= ~(members[:, :, None] == others).any(axis=1)
-        return np.count_nonzero(hit, axis=1)
-
-    def _reserve(self, size: int) -> None:
-        """Grow the slot arrays, by doubling, to hold ``size`` subsets."""
-        capacity = len(self._xi)
-        if size <= capacity:
-            return
-        capacity = max(2 * capacity, size)
-        live = len(self._keys)
-        for name in ("_centers", "_radii", "_xi", "_occupants"):
-            old = getattr(self, name)
-            grown = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
-            grown[:live] = old[:live]
-            setattr(self, name, grown)
+        return len(self._anchors) if self.nbhd is not None else 0
 
     # -- event updates ------------------------------------------------------
 
     def apply_event(self, event: Event) -> None:
         """Update for one event; the configuration must not yet reflect it."""
-        if event.kind == "birth":
-            self._on_birth(event.point.pid, event.point.position)
+        self.apply_events((event,))
+
+    def apply_events(self, events: Sequence[Event]) -> None:
+        """Update for a time-ordered batch of events; the configuration must
+        not yet reflect any of them."""
+        born: dict[int, NDArray] = {}
+        died: list[int] = []
+        for event in events:
+            pid = event.point.pid
+            if event.kind == "birth":
+                born[pid] = event.point.position
+            elif born.pop(pid, None) is None:
+                died.append(pid)
+        metric = self.config.metric
+        dying = np.sort(np.array(died, dtype=np.intp))
+        # birth ids ascend in a batch the configuration accepts
+        new_ids = np.fromiter(born, dtype=np.intp, count=len(born))
+        new_pts = metric.wrap(np.array(list(born.values()), dtype=float).reshape(len(born), metric.dim))
+        dying_pts = self.config.positions_array(dying)
+        if self.nbhd is not None and (len(dying) or len(new_ids)):
+            self._recount(dying, dying_pts, new_ids, new_pts)
+        # one stacked query serves phase 3 and, in plain mode, phase 1
+        lead = len(dying) if self.nbhd is None else 0
+        near = self._neighbours(np.concatenate([dying_pts[:lead], new_pts]))
+        old = new = None
+        if near is not None:
+            rows, ids = near
+            cut = int(np.searchsorted(rows, lead))
+            old = rows[:cut], ids[:cut]
+            if len(new_ids):
+                new = self._with_newcomers(rows[cut:] - lead, ids[cut:], dying, new_ids, new_pts)
+        if self.nbhd is None and len(dying):
+            self._sum.add(-math.fsum(self._retire(dying, dying_pts, old)))
+        self._admit(new_ids, new_pts, self.config.next_id, new)
+
+    def _neighbours(self, xs: NDArray) -> Optional[tuple[NDArray, NDArray]]:
+        """The ``(rows, ids)`` pairs of the stored points within the query
+        radius of each row of ``xs``, rows ascending and ids ascending in
+        each row; ``None`` where no query is needed (``k = 1`` subsets in
+        plain mode have no other members)."""
+        if (self.nbhd is None and self.f.k == 1) or not len(xs):
+            return None
+        starts, ids = self.config.neighbors_within(xs, self._radius)
+        return csr_rows(starts), ids
+
+    def _with_newcomers(
+        self, rows: NDArray, ids: NDArray, dying: NDArray, new_ids: NDArray, new_pts: NDArray
+    ) -> tuple[NDArray, NDArray]:
+        """The newcomers' neighbour pairs over the configuration as it will
+        be after the batch: the stored pairs ``(rows, ids)`` less the dying
+        ids, plus the newcomers within the query radius, found by a grid of
+        their own.  Newcomer ids exceed every stored id, so each row's ids
+        stay ascending.  A lone newcomer has no other newcomer near it, and
+        itself is neither another member nor an occupant."""
+        stay = ~_isin_sorted(ids, dying)
+        rows, ids = rows[stay], ids[stay]
+        if len(new_ids) > 1:
+            grid = GridIndex(self.config.metric, self._cell)
+            grid.insert(np.arange(len(new_ids)), new_pts)
+            starts, found = grid.query(new_pts, self._radius, new_pts)
+            rows = np.concatenate([rows, csr_rows(starts)])
+            ids = np.concatenate([ids, new_ids[found]])
+            order = np.argsort(rows, kind="stable")
+            rows, ids = rows[order], ids[order]
+        return rows, ids
+
+    def _position(self, ids: NDArray, new_ids: NDArray, new_pts: NDArray, first_new: int) -> NDArray:
+        """Positions of alive ids: from the configuration below
+        ``first_new``, from the newcomers at and above it."""
+        pts = np.empty(ids.shape + (self.config.metric.dim,))
+        old = ids < first_new
+        pts[old] = self.config.positions_array(ids[old])
+        pts[~old] = new_pts[np.searchsorted(new_ids, ids[~old])]
+        return pts
+
+    def _retire(self, dying: NDArray, dying_pts: NDArray, near: Optional[tuple[NDArray, NDArray]]) -> NDArray:
+        """Plain mode: the values of the subsets with a dying member, each
+        enumerated once under its smallest dying id; ``near`` holds the
+        dying points' ``(rows, ids)`` neighbour pairs."""
+        if near is None:
+            return self.f.batch(dying_pts[:, None, :], self.r, self.config.metric)
+        rows, others = near
+        keep = (others > dying[rows]) | ~_isin_sorted(others, dying)
+        members, _ = _subset_rows(dying, rows[keep], others[keep], self.f.k)
+        return self.f.batch(self.config.positions_array(members), self.r, self.config.metric)
+
+    def _recount(self, dying: NDArray, dying_pts: NDArray, new_ids: NDArray, new_pts: NDArray) -> None:
+        """Exclusive mode, phases 1 and 2: evict the subsets with a dying
+        member, then move the occupant counts of the surviving regions by
+        the changed points inside them."""
+        points = np.concatenate([dying_pts, new_pts])
+        steps = np.repeat([-1, 1], [len(dying), len(new_ids)])
+        starts, slots = self._anchors.query(points, padded_radius(self.max_reach), self._centers[:, 0])
+        rows = csr_rows(starts)
+        losing = starts[len(dying)]
+        lost = (self._members[slots[:losing]] == dying[rows[:losing], None]).any(axis=1)
+        gone = np.unique(slots[:losing][lost])
+        if len(gone):
+            counted = gone[self._occupants[gone] == 0]
+            self._sum.add(-math.fsum(self._xi[counted]))
+            self._live[gone] = False
+            self._anchors.remove(gone)
+        stay = self._live[slots]
+        slots, rows = slots[stay], rows[stay]
+        inside = self._contains(self._centers, self._radii, slots, points[rows])
+        touched, which = np.unique(slots[inside], return_inverse=True)
+        delta = np.bincount(which, weights=steps[rows[inside]], minlength=len(touched)).astype(np.intp)
+        was = self._occupants[touched] == 0
+        self._occupants[touched] += delta
+        now = self._occupants[touched] == 0
+        xi = self._xi[touched]
+        self._sum.add(math.fsum(xi[now & ~was]) - math.fsum(xi[was & ~now]))
+
+    def _admit(
+        self,
+        new_ids: NDArray,
+        new_pts: NDArray,
+        first_new: int,
+        near: Optional[tuple[NDArray, NDArray]],
+    ) -> None:
+        """Phase 3: score the subsets of the alive points that contain a
+        newcomer and count (plain) or register (exclusive) them.  ``near``
+        holds the ``(rows, ids)`` pairs of every alive point within the
+        phase's radius of each newcomer, ids ascending in each row; ids at
+        or above ``first_new`` are newcomers, and a subset is enumerated
+        under its smallest one."""
+        if not len(new_ids):
+            return
+        metric = self.config.metric
+        if self.f.k == 1:
+            members, owner = new_ids[:, None], np.arange(len(new_ids))
         else:
-            self._on_death(event.point.pid)
-
-    def _on_birth(self, pid: int, raw_position: NDArray) -> None:
-        x = self.config.metric.wrap(np.asarray(raw_position, dtype=float))
-        if self.nbhd is not None:
-            self._count_occupant(x, 1)
-        cands = self._near(x)
-        pts = np.vstack([self.config.positions_array(cands), x[None, :]])
-        # the newcomer's id is the largest, so it goes last
-        self._admit(np.append(cands, pid), pts, len(cands))
-
-    def _on_death(self, pid: int) -> None:
-        y = self.config.position(pid)
+            rows, others = near
+            keep = (others > new_ids[rows]) | (others < first_new)
+            if self.nbhd is not None:
+                pts = self._position(others[keep], new_ids, new_pts, first_new)
+                keep[keep] = metric.distance_many(new_pts[rows[keep]], pts) <= self.enum_radius
+            members, owner = _subset_rows(new_ids, rows[keep], others[keep], self.f.k)
+        if not len(members):
+            return
+        pts = self._position(members, new_ids, new_pts, first_new)
         if self.nbhd is None:
-            # the point is still alive, at distance 0 from itself
-            ids = self._near(y) if self.f.k > 1 else np.array([pid], dtype=np.intp)
-            pts = self.config.positions_array(ids)
-            for val in self._scored(ids, pts, int(np.searchsorted(ids, pid)))[1].tolist():
-                self._sum.add(-val)
+            self._sum.add(math.fsum(self.f.batch(pts, self.r, metric)))
             return
-        # exclusive mode: drop subsets containing the point ...
-        keys = self._member_keys.get(pid)
-        if keys:
-            self._evict(list(keys))
-        # ... then every region the point occupied loses one occupant
-        self._count_occupant(y, -1)
-
-    def _evict(self, keys: list) -> None:
-        """Unregister subsets; the live slots past the new end fill the
-        freed slots below it."""
-        gone = np.array(sorted(self._slot.pop(key) for key in keys), dtype=np.intp)
-        for val in self._xi[gone[self._occupants[gone] == 0]].tolist():
-            self._sum.add(-val)
-        for key in keys:
-            self._anchor_grid.remove(key)
-            for member in key:
-                owned = self._member_keys[member]
-                owned.remove(key)
-                if not owned:
-                    del self._member_keys[member]
-        size = len(self._keys) - len(gone)
-        holes = gone[gone < size]
-        if len(holes):
-            stays = np.ones(len(gone), dtype=bool)
-            stays[gone[len(holes):] - size] = False
-            movers = np.arange(size, len(self._keys))[stays]
-            for array in (self._centers, self._radii, self._xi, self._occupants):
-                array[holes] = array[movers]
-            for hole, mover in zip(holes.tolist(), movers.tolist()):
-                key = self._keys[mover]
-                self._keys[hole] = key
-                self._slot[key] = hole
-        del self._keys[size:]
-
-    def _count_occupant(self, y: NDArray, step: int) -> None:
-        """Add ``step`` (``1`` for a birth, ``-1`` for a death at ``y``) to
-        the occupants of each region containing ``y``, tested in one stacked
-        call over the regions anchored near ``y``; a subset leaves the sum
-        as its count goes 0 -> 1 and returns as it goes 1 -> 0."""
-        keys = self._anchor_grid.candidates(y, self.max_reach)
-        if not keys:
+        live, vals, region = self.nbhd.score(self.f, pts, self.r, metric)
+        if not len(live):
             return
-        slots = np.fromiter(map(self._slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+        members, owner = members[live], owner[live]
+        # each new region against every alive point near its newcomer
+        rows, others = near
+        starts = csr_starts(rows, len(new_ids))
+        pair, at = expand_ranges(starts[owner], starts[owner + 1] - starts[owner])
+        cands = others[at]
+        hit = self._contains(region.centers, region.radii, pair, self._position(cands, new_ids, new_pts, first_new))
+        hit &= ~(members[pair] == cands[:, None]).any(axis=1)
+        occupants = np.bincount(pair[hit], minlength=len(members))
+        slots = self._claim(len(members))
+        self._members[slots] = members
+        self._centers[slots] = region.centers
+        self._radii[slots] = region.radii
+        self._xi[slots] = vals
+        self._occupants[slots] = occupants
+        self._live[slots] = True
+        self._anchors.insert(slots, region.centers[:, 0])
+        self._sum.add(math.fsum(vals[occupants == 0]))
+
+    def _contains(self, centers: NDArray, radii: NDArray, regions: NDArray, points: NDArray) -> NDArray:
+        """Whether each of ``points`` lies in the region of the matching
+        entry of ``regions`` (rows of ``centers`` and ``radii``), tested in
+        blocks of at most ``CONTAINS_BLOCK`` pairs x balls."""
         closed = self.nbhd.kind == "balls"
-        region = BallUnionRegion(self._centers[slots], self._radii[slots], closed, self.config.metric)
-        inside = region.contains_many(y[None])
-        hit = slots[inside[:, 0]]
-        self._occupants[hit] += step
-        for val in self._xi[hit[self._occupants[hit] == max(step, 0)]].tolist():
-            self._sum.add(-step * val)
+        inside = np.empty(len(points), dtype=bool)
+        block = max(1, CONTAINS_BLOCK // centers.shape[1])
+        for first in range(0, len(points), block):
+            part = slice(first, first + block)
+            region = BallUnionRegion(centers[regions[part]], radii[regions[part]], closed, self.config.metric)
+            inside[part] = region.contains_many(points[part, None, :])[:, 0]
+        return inside
+
+    def _claim(self, count: int) -> NDArray:
+        """``count`` free slots, lowest first; the slot arrays grow, by
+        doubling, when too few are free."""
+        free = np.flatnonzero(~self._live)
+        if len(free) < count:
+            capacity = len(self._live)
+            grown = max(2 * capacity, capacity - len(free) + count)
+            for name in ("_members", "_centers", "_radii", "_xi", "_occupants", "_live"):
+                old = getattr(self, name)
+                new = np.zeros((grown,) + old.shape[1:], dtype=old.dtype)
+                new[:capacity] = old
+                setattr(self, name, new)
+            free = np.flatnonzero(~self._live)
+        return free[:count]
 
 
-@functools.lru_cache(maxsize=256)
-def _combination_rows(n: int, must: int, k: int) -> NDArray:
-    """Index rows ``(C, k)``, each ascending, of the ``k``-subsets of
-    ``range(n)`` that contain ``must``, in ``itertools.combinations`` order
-    of the others; read-only, as it is shared by every call.  Each cached
-    array is smaller than the point stack its caller gathers with it."""
-    combos = list(combinations([i for i in range(n) if i != must], k - 1))
-    rows = np.empty((len(combos), k), dtype=np.intp)
-    rows[:, :-1] = np.array(combos, dtype=np.intp).reshape(len(combos), k - 1)
-    rows[:, -1] = must
-    rows.sort(axis=1)
-    rows.flags.writeable = False
-    return rows
+def _isin_sorted(values: NDArray, ids: NDArray) -> NDArray:
+    """Whether each of ``values`` is among the ascending ``ids``."""
+    at = np.minimum(np.searchsorted(ids, values), max(len(ids) - 1, 0))
+    return ids[at] == values if len(ids) else np.zeros(len(values), dtype=bool)
+
+
+def _subset_rows(anchors: NDArray, rows: NDArray, others: NDArray, k: int) -> tuple[NDArray, NDArray]:
+    """Member rows ``(B, k)``, ``k >= 2``, each ascending, of every anchor
+    with each ``(k - 1)``-subset of its others, and the anchor index of each
+    row.
+    ``(rows, others)`` pairs each anchor index with its other candidate
+    members, grouped by ascending anchor index.  The subsets grow as
+    chains of pair indices, each step appending every later pair of the
+    same anchor."""
+    ends = csr_starts(rows, len(anchors))[1:][rows]
+    chains = np.arange(len(rows))[:, None]
+    for _ in range(k - 2):
+        last = chains[:, -1]
+        grown, nxt = expand_ranges(last + 1, ends[last] - last - 1)
+        chains = np.column_stack([chains[grown], nxt])
+    owner = rows[chains[:, 0]]
+    return np.sort(np.column_stack([anchors[owner], others[chains]]), axis=1), owner
 
 
 def evaluate_statistic(
@@ -462,22 +542,25 @@ def replay(
 
     Returns an array of shape ``(len(trackers), len(sample_times))`` with
     the piecewise-constant statistic values at the requested times (each
-    value reflects all events with ``time <= t``).  The configuration is
-    mutated in place.
+    value reflects all events with ``time <= t``).  The stream is cut at
+    the sample times, and each piece goes to every tracker's
+    ``apply_events`` and then to the configuration's; the events after the
+    last sample time are applied too, so the configuration is mutated in
+    place to the end of the stream.  A ``ValueError`` for non-finite or
+    decreasing sample times, before any event is applied.
     """
-    times = np.asarray(sample_times, dtype=float)
-    out = np.zeros((len(trackers), len(times)))
-    idx = 0
-    for event in stream.events:
-        while idx < len(times) and times[idx] < event.time:
-            for row, tracker in enumerate(trackers):
-                out[row, idx] = tracker.value
-            idx += 1
-        for tracker in trackers:
-            tracker.apply_event(event)
-        config.apply_event(event)
-    for row, tracker in enumerate(trackers):
-        out[row, idx:] = tracker.value
+    cuts = stream_cuts(stream, sample_times)
+    out = np.zeros((len(trackers), len(cuts)))
+    done = 0
+    for col, cut in enumerate(np.append(cuts, len(stream.events)).tolist()):
+        if cut > done:
+            piece = stream.events[done:cut]
+            for tracker in trackers:
+                tracker.apply_events(piece)
+            config.apply_events(piece)
+            done = cut
+        if col < len(cuts):
+            out[:, col] = [tracker.value for tracker in trackers]
     return out
 
 
@@ -492,11 +575,12 @@ def sample_path(
     """Simulate stationary path ``rep`` and return the statistic's values at
     ``sample_times``, shape ``(len(sample_times),)``.
 
-    The scale is checked before any draw, so a bad ``r`` costs no
-    simulation."""
+    The scale and the sample times are checked before any draw, so a bad
+    ``r`` or time costs no simulation."""
     if r is None:
         r = config.interaction_radius
     _scale_radii(functional, r, neighborhood, config.metric)
+    _checked_times(sample_times)
     rng = config.rng(rep)
     state = sample_stationary(config, rng)
     stream = simulate_events(config, state, rng)

@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdgeom import geometry, statistics
 from bdgeom.functionals import LocalFunctional, NeighborhoodMap, make_clique, make_morse, make_subgraph
 from bdgeom.geometry import Metric
-from bdgeom.process import Configuration, Event, MarkedPoint
-from bdgeom.statistics import INITIAL_SLOTS, SubsetTracker, count_pairs_within, evaluate_statistic
+from bdgeom.process import Configuration, Event, EventStream, MarkedPoint
+from bdgeom.statistics import INITIAL_SLOTS, SubsetTracker, count_pairs_within, evaluate_statistic, replay
 from bdgeom.suite import _builtin_pairs
 from oracles import ball_contains, region_contains
 
@@ -134,16 +135,90 @@ def test_event_streams_keep_tracker_equal_to_evaluator(case, data):
             assert_occupant_counts(tracker, config)
 
 
+def registry(tracker):
+    """Live slot of each registered subset, by its ascending member ids."""
+    slots = np.flatnonzero(tracker._live).tolist()
+    return {tuple(tracker._members[slot].tolist()): slot for slot in slots}
+
+
+@st.composite
+def event_sequences(draw, config):
+    """Time-ordered events from the alive points of ``config``: births at
+    adversarial positions and deaths of initial points and of points born
+    earlier in the sequence (a batch may hold both ends of a transient
+    point's life); event ``i`` happens at time ``i + 1``."""
+    births = iter(draw(configurations(max_points=10))[1])
+    alive = {pid: config.position(pid) for pid in config.ids().tolist()}
+    events, next_id = [], config.next_id
+    for step in range(draw(st.integers(0, 24))):
+        time = float(step + 1)
+        if alive and draw(st.booleans(), label=f"death {step}"):
+            pid = draw(st.sampled_from(sorted(alive)))
+            events.append(Event(time, "death", MarkedPoint(pid, alive.pop(pid), 0.0, time)))
+            continue
+        position = next(births, None)
+        if position is None:
+            continue
+        alive[next_id] = position
+        events.append(Event(time, "birth", MarkedPoint(next_id, position, time, 1.0)))
+        next_id += 1
+    return events
+
+
+@SETTINGS
+@given(configurations(max_points=16), st.data())
+def test_batched_events_keep_tracker_equal_to_evaluator(case, data):
+    """Random event sequences cut into random batches: after every batch
+    each tracker equals the evaluator and its registry holds the
+    brute-force occupant counts.  ``replay`` with one event per batch, and
+    with blocks of one containment pair and one query cell, gives the
+    values of the coarse grid at the shared times."""
+    r, pts = case
+    metric = data.draw(st.sampled_from(METRICS))
+    config = Configuration.from_points(pts, metric)
+    trackers = [SubsetTracker(config, f, r, nb) for f, nb in PAIRS]
+    events = data.draw(event_sequences(config))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(events)), max_size=6), label="cuts"))
+    for start, stop in zip([0] + cuts, cuts + [len(events)]):
+        for tracker in trackers:
+            tracker.apply_events(events[start:stop])
+        config.apply_events(events[start:stop])
+        for tracker, (f, nb) in zip(trackers, PAIRS):
+            assert tracker.value == evaluate_statistic(config, f, r, nb), (metric.kind, f.name, nb, stop)
+            assert_occupant_counts(tracker, config)
+    stream = EventStream(events, float(len(events)), len(pts))
+    coarse = np.array([float(cut) for cut in cuts] + [float(len(events))])
+    fine = np.arange(len(events) + 1.0)
+
+    def replayed(times):
+        start = Configuration.from_points(pts, metric)
+        return replay(start, stream, [SubsetTracker(start, f, r, nb) for f, nb in PAIRS], times)
+
+    want = replayed(coarse)
+    assert np.array_equal(replayed(fine)[:, coarse.astype(int)], want)
+    blocks = statistics.CONTAINS_BLOCK, geometry.QUERY_BLOCK
+    try:
+        statistics.CONTAINS_BLOCK = geometry.QUERY_BLOCK = 1
+        assert np.array_equal(replayed(coarse), want)
+    finally:
+        statistics.CONTAINS_BLOCK, geometry.QUERY_BLOCK = blocks
+
+
 def assert_occupant_counts(tracker, config):
     """Each registered subset's slot holds the brute-force count of alive
     non-members inside its region, rebuilt from the members' positions and
     counted by the containment oracle."""
-    assert len(tracker._slot) == tracker.registry_size
+    if tracker.nbhd is None:
+        assert tracker.registry_size == 0
+        return
+    slots = registry(tracker)
+    assert len(slots) == tracker.registry_size
+    assert sorted(slots.values()) == tracker._anchors.ids().tolist()
     alive = list(config.ids())
     torus = config.metric.kind == "torus"
-    for key, slot in tracker._slot.items():
-        assert tracker._keys[slot] == key
-        members = sorted(key)
+    for key, slot in slots.items():
+        assert list(key) == sorted(set(key)) and set(key) <= set(alive)
+        members = list(key)
         region, _ = tracker.nbhd.build(config.positions_array(members)[None], tracker.r, config.metric)
         closed = tracker.nbhd.kind == "balls"
         count = sum(
@@ -155,15 +230,17 @@ def assert_occupant_counts(tracker, config):
 
 
 def test_registry_slots_survive_eviction_and_growth():
-    """A death frees a middle slot and the last subset moves into it; the
-    slot arrays grow past their initial capacity."""
+    """A death frees a middle slot while the other subsets keep theirs, and
+    the next admission refills it; the slot arrays grow past their initial
+    capacity."""
     side, r = 10, 0.02
     grid = (np.indices((side, side)).reshape(2, -1).T + 0.5) / side
     assert len(grid) > INITIAL_SLOTS
     config = Configuration.from_points(grid, METRICS[0])
     tracker = SubsetTracker(config, make_clique(1), r, NeighborhoodMap("balls"))
     assert (tracker.value, tracker.registry_size) == (100.0, 100)
-    middle, last = tracker._keys[50], tracker._keys[-1]
+    middle, last = (50,), (99,)
+    assert registry(tracker)[middle] == 50 and registry(tracker)[last] == 99
     (pid,) = middle
 
     def step(event, value, size):
@@ -173,12 +250,15 @@ def test_registry_slots_survive_eviction_and_growth():
         assert_occupant_counts(tracker, config)
 
     step(Event(1.0, "death", MarkedPoint(pid, config.position(pid), 0.0, 1.0)), 99.0, 99)
-    assert middle not in tracker._slot and tracker._slot[last] == 50
+    assert middle not in registry(tracker) and registry(tracker)[last] == 99
+    assert not tracker._live[50]
     # a newcomer beside a survivor: both regions hold one occupant
     for i, pid in enumerate((7, 42, 99)):
         spot = config.position(pid) + [0.01, 0.0]
         newcomer = MarkedPoint(config.next_id, spot, 2.0 + i, 1.0)
         step(Event(2.0 + i, "birth", newcomer), 98.0 - i, 100 + i)
+        if i == 0:
+            assert registry(tracker)[(newcomer.pid,)] == 50 and registry(tracker)[last] == 99
     # the survivor's death frees the newcomer beside it
     step(Event(6.0, "death", MarkedPoint(42, config.position(42), 0.0, 1.0)), 97.0, 101)
 

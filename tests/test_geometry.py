@@ -93,6 +93,12 @@ def _brute(metric, positions, x, rho):
     return {k for k, h in zip(keys, hits) if h}
 
 
+def _rows(csr):
+    """The rows of a CSR ``(starts, ids)`` as lists."""
+    starts, ids = csr
+    return [ids[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])]
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_grid_query_matches_brute_force(kind, dim):
@@ -110,15 +116,30 @@ def test_grid_query_matches_brute_force(kind, dim):
             index.insert([key], pos[key, None])
         index.insert(list(range(half, n)), pos[half:])
         positions = dict(enumerate(pos))
-        for _ in range(6):
-            x = rng.random(dim) * scale
-            # radii above and below the cell edge, including zero-ish
-            rho = float(rng.choice([0.01, cell / 2, cell, 3 * cell, 0.45]))
-            if kind == "torus":
-                rho = min(rho, 0.49)
-            got = index.query(x, rho, pos)
-            assert got.dtype == np.intp
-            assert got.tolist() == sorted(_brute(metric, positions, x, rho))
+        # radii above and below the cell edge, including zero-ish
+        rho = float(rng.choice([0.01, cell / 2, cell, 3 * cell, 0.45]))
+        if kind == "torus":
+            rho = min(rho, 0.49)
+        xs = rng.random((6, dim)) * scale
+        starts, got = index.query(xs, rho, pos)
+        assert got.dtype == starts.dtype == np.intp
+        assert _rows((starts, got)) == [sorted(_brute(metric, positions, x, rho)) for x in xs]
+        # a row does not depend on the stack it is queried in
+        assert _rows(index.query(xs[2], rho, pos)) == _rows((starts, got))[2:3]
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_grid_query_over_more_cells_than_one_pass_holds(kind):
+    # 0.9 / 0.002 = 450 cells per axis, about 9e7 in the block: every key
+    # is a candidate instead, and the distance test decides
+    metric = Metric(kind, 3)
+    index = GridIndex(metric, 0.002)
+    pos = np.random.default_rng(13).random((40, 3))
+    index.insert(np.arange(40), pos)
+    xs = np.random.default_rng(14).random((3, 3))
+    want = [sorted(_brute(metric, dict(enumerate(pos)), x, 0.45)) for x in xs]
+    assert _rows(index.query(xs, 0.45, pos)) == want
+    assert all(row == list(range(40)) for row in _rows(index.candidates(xs, 0.45)))
 
 
 def test_grid_insert_remove_roundtrip():
@@ -129,13 +150,15 @@ def test_grid_insert_remove_roundtrip():
     index.insert(list(range(30)), pos)
     assert len(index) == 30
     pts = dict(enumerate(pos))
-    for k in list(pts)[::2]:
-        index.remove(k)
+    index.remove(0)
+    del pts[0]
+    index.remove(list(pts)[1::2])  # several keys in one call
+    for k in list(pts)[1::2]:
         del pts[k]
     assert len(index) == len(pts)
     x = np.array([0.5, 0.5])
-    assert index.query(x, 0.3, pos).tolist() == sorted(_brute(metric, pts, x, 0.3))
-    assert set(index.ids()) == set(pts)
+    assert _rows(index.query(x, 0.3, pos)) == [sorted(_brute(metric, pts, x, 0.3))]
+    assert index.ids().tolist() == sorted(pts)
 
 
 def test_grid_keeps_each_keys_cell_not_its_position():
@@ -145,13 +168,13 @@ def test_grid_keeps_each_keys_cell_not_its_position():
     source = np.array([[0.05, 0.05], [0.55, 0.55]])
     index.insert([0, 1], source)
     source[:] = source[::-1]
-    assert index.candidates(np.array([0.05, 0.05]), 0.01) == [0]
-    assert index.query(np.array([0.05, 0.05]), 0.01, source).tolist() == []
-    assert index.query(np.array([0.55, 0.55]), 0.01, source[::-1]).tolist() == [1]
+    xs = np.array([[0.05, 0.05], [0.55, 0.55]])
+    assert _rows(index.candidates(xs, 0.01)) == [[0], [1]]
+    assert _rows(index.query(xs, 0.01, source)) == [[], []]
+    assert _rows(index.query(xs, 0.01, source[::-1])) == [[0], [1]]
     index.remove(0)  # from its kept cell: the source no longer says where
     assert 0 not in index and len(index) == 1
-    assert index.candidates(np.array([0.05, 0.05]), 0.01) == []
-    assert index.candidates(np.array([0.55, 0.55]), 0.01) == [1]
+    assert _rows(index.candidates(xs, 0.01)) == [[], [1]]
 
 
 def test_grid_candidates_cover_the_query_ball():
@@ -162,11 +185,12 @@ def test_grid_candidates_cover_the_query_ball():
     index.insert(list(range(80)), pos)
     pts = dict(enumerate(pos))
     for _ in range(20):
-        x, rho = rng.random(2), float(rng.uniform(0.01, 0.3))
-        found = index.candidates(x, rho)
-        assert len(found) == len(set(found))
-        assert _brute(metric, pts, x, rho) <= set(found)
-        assert index.query(x, rho, pos).tolist() == sorted(_brute(metric, pts, x, rho))
+        # one ball wraps a whole axis of the 6 x 6 grid
+        xs, rho = rng.random((3, 2)), float(rng.choice([rng.uniform(0.01, 0.3), 0.49]))
+        for x, found in zip(xs, _rows(index.candidates(xs, rho))):
+            assert found == sorted(set(found))
+            assert _brute(metric, pts, x, rho) <= set(found)
+        assert _rows(index.query(xs, rho, pos)) == [sorted(_brute(metric, pts, x, rho)) for x in xs]
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "torus"])
@@ -180,13 +204,15 @@ def test_grid_rejects_positions_without_a_cell(kind, bad):
 
 def test_grid_duplicate_or_missing_key():
     index = GridIndex(Metric("euclidean", 2), 1.0)
-    index.insert(["a"], np.zeros((1, 2)))
-    for keys in (["a"], ["b", "a"], ["b", "b"]):
+    index.insert([3], np.zeros((1, 2)))
+    for keys in ([3], [4, 3], [4, 4], [-1]):
         with pytest.raises(KeyError):
             index.insert(keys, np.ones((len(keys), 2)))
-        assert list(index.ids()) == ["a"]  # a refused call indexes nothing
-    with pytest.raises(KeyError):
-        index.remove("b")
+        assert index.ids().tolist() == [3]  # a refused call indexes nothing
+    for keys in (4, [3, 4], [3, 3], -1, 10**6):
+        with pytest.raises(KeyError):
+            index.remove(keys)
+        assert index.ids().tolist() == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from bdgeom.process import (
     MAX_COORDINATE,
     Configuration,
     Density,
+    Event,
+    MarkedPoint,
     SimulationConfig,
     _marked_draw,
     alive_count_path,
@@ -199,7 +201,7 @@ def test_configuration_store_matches_a_dict_model(initial, steps, kind):
             assert np.array_equal(config.positions_array(), want)
             chosen = list(rng.permutation(ids)[: pick % 7])
             assert np.array_equal(config.positions_array(chosen), want[np.searchsorted(ids, chosen)])
-            assert sorted(config.neighbors_within(x, 0.3)) == near
+            assert near_ids(config, x, 0.3).tolist() == near
         if ids and next_id > len(ids):
             dead = sorted(set(range(next_id)) - set(ids))[0]
             with pytest.raises(KeyError):
@@ -225,6 +227,13 @@ def lattice_queries(draw):
     return Metric(kind, 2), cells, np.array(pts), x, sorted(gone), radius
 
 
+def near_ids(config, x, rho):
+    """The ids ``neighbors_within`` finds around one point."""
+    starts, ids = config.neighbors_within(np.asarray(x)[None], rho)
+    assert starts.tolist() == [0, len(ids)]
+    return ids
+
+
 @given(lattice_queries())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_neighbors_within_matches_a_scan(case):
@@ -239,10 +248,10 @@ def test_neighbors_within_matches_a_scan(case):
     rho = radius if isinstance(radius, float) else metric.distance(x, metric.wrap(np.array(radius)))
     ids = config.ids().tolist()
     want = [pid for pid in ids if metric.distance(x, config.position(pid)) <= rho]
-    got = config.neighbors_within(x, rho)
+    got = near_ids(config, x, rho)
     assert got.dtype == np.intp
     assert got.tolist() == want  # ascending and unique, as ids() is
-    assert np.array_equal(Configuration.from_points(config.positions_array(), metric).neighbors_within(x, rho),
+    assert np.array_equal(near_ids(Configuration.from_points(config.positions_array(), metric), x, rho),
                           np.searchsorted(ids, want))
 
 
@@ -305,20 +314,65 @@ def test_store_takes_only_coordinates_it_can_measure(kind, indexed, by_add, row,
     if indexed and not by_add:
         config.build_index(0.1)
     assert np.array_equal(config.position(pid), metric.wrap(pts[row]))
-    assert pid in config.neighbors_within(config.position(pid), 0.05)
+    assert pid in near_ids(config, config.position(pid), 0.05)
     pos = config.positions_array()
     want = sum(metric.distance(a, b) <= 0.05 for a, b in itertools.combinations(pos, 2))
     assert evaluate_statistic(config, make_clique(2), 0.05) == want
+
+
+def _event(kind, pid, position, time=1.0):
+    return Event(time, kind, MarkedPoint(pid, np.asarray(position, dtype=float), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["plain", "indexed"])
+def test_apply_events_stores_the_net_change_after_checking_every_birth(indexed):
+    metric = Metric("torus", 2)
+    start = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
+    batch = [
+        _event("birth", 3, [1.25, 0.5]),
+        _event("death", 0, start[0]),
+        _event("birth", 4, [0.6, 0.6]),
+        _event("death", 3, [1.25, 0.5]),  # born and dead inside the batch
+        _event("birth", 6, [0.7, -0.25]),  # a caller may skip ids
+    ]
+    bulk, single = (Configuration.from_points(start, metric) for _ in range(2))
+    if indexed:
+        bulk.build_index(0.1)
+        single.build_index(0.1)
+    bulk.apply_events(batch)
+    for event in batch:
+        single.apply_event(event)
+    for config in (bulk, single):
+        assert config.ids().tolist() == [1, 2, 4, 6] and config.next_id == 7
+        assert np.array_equal(config.positions_array(), [[0.2, 0.2], [0.3, 0.3], [0.6, 0.6], [0.7, 0.75]])
+        assert near_ids(config, [0.65, 0.68], 0.1).tolist() == [4, 6]
+    refused = [
+        ([_event("birth", 7, [0.5, 0.5]), _event("birth", 8, [math.nan, 0.5]), _event("death", 8, [0.0, 0.0])],
+         ValueError, r"coordinate \[1, 0\] is nan"),
+        ([_event("birth", 7, [0.5, 0.5, 0.5])], ValueError, r"shape \(2,\)"),
+        ([_event("birth", 7, [0.5, 0.5]), _event("birth", 7, [0.6, 0.6])], KeyError, "already issued"),
+        ([_event("birth", 5, [0.5, 0.5])], KeyError, "already issued"),
+        ([_event("death", 3, [0.0, 0.0])], KeyError, "3"),
+        ([_event("death", 1, [0.0, 0.0]), _event("death", 1, [0.0, 0.0])], KeyError, "1"),
+    ]
+    for events, error, message in refused:
+        with pytest.raises(error, match=message):
+            bulk.apply_events(events)
+        assert bulk.ids().tolist() == [1, 2, 4, 6] and bulk.next_id == 7  # nothing stored
+        assert near_ids(bulk, [0.65, 0.68], 0.1).tolist() == [4, 6]
 
 
 def test_neighbors_with_and_without_index_agree():
     rng = np.random.default_rng(2)
     config = Configuration.from_points(rng.random((60, 2)), Metric("torus", 2))
     x = np.array([0.5, 0.5])
-    plain = sorted(config.neighbors_within(x, 0.2))
+    xs = np.vstack([x, rng.random((4, 2))])
+    plain = config.neighbors_within(xs, 0.2)
+    assert near_ids(config, x, 0.2).tolist() == plain[1][: plain[0][1]].tolist()
     config.build_index(0.1)
     assert config.indexed
-    assert sorted(config.neighbors_within(x, 0.2)) == plain
+    indexed = config.neighbors_within(xs, 0.2)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, indexed))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from bdgeom.process import (
     EventStream,
     MarkedPoint,
     SimulationConfig,
+    alive_count_path,
     sample_stationary,
     simulate_events,
 )
@@ -206,8 +207,10 @@ def test_exclusive_flip_sequence():
 
 
 def occupants(tracker, key):
-    """The occupant count in the slot of a registered subset."""
-    return int(tracker._occupants[tracker._slot[key]])
+    """The occupant count in the slot of a registered subset: the live
+    slot whose member row is the subset's ids in ascending order."""
+    (slot,) = np.flatnonzero(tracker._live & (tracker._members == sorted(key)).all(axis=1))
+    return int(tracker._occupants[slot])
 
 
 def test_exclusive_death_makes_no_neighbour_queries(monkeypatch):
@@ -356,6 +359,36 @@ def test_sample_path_deterministic_per_rep():
     assert a.shape == times.shape
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("times", [[1.0, 0.5], [0.5, float("nan")], [float("inf")], [[0.5, 1.0]]])
+def test_bad_sample_times_are_refused_before_any_event(monkeypatch, times):
+    sim = SimulationConfig(n=200, dim=2, horizon=1.0, density=Density("uniform", 2), seed=1, gamma=1.0)
+    rng = sim.rng(0)
+    state = sample_stationary(sim, rng)
+    stream = simulate_events(sim, state, rng)
+    tracker = SubsetTracker(state, make_clique(1), 0.05)
+    with pytest.raises(ValueError, match="sample times"):
+        replay(state, stream, [tracker], times)
+    assert (len(state), state.next_id, tracker.value) == (stream.initial_count,) * 3
+    with pytest.raises(ValueError, match="sample times"):
+        alive_count_path(stream, times)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn before the sample times were checked")
+
+    monkeypatch.setattr(statistics, "sample_stationary", no_draw)
+    with pytest.raises(ValueError, match="sample times"):
+        sample_path(sim, make_clique(1), times)
+
+
+def test_replay_refuses_a_stream_out_of_time_order():
+    config = Configuration(TORUS)
+    tracker = SubsetTracker(config, make_clique(1), 0.1)
+    stream = EventStream([birth(0, [0.2, 0.2], time=1.0), birth(1, [0.7, 0.7], time=0.5)], 2.0, 0)
+    with pytest.raises(ValueError, match="event times"):
+        replay(config, stream, [tracker], [2.0])
+    assert (len(config), tracker.value) == (0, 0.0)
 
 
 def test_replay_event_at_sample_time_is_included():

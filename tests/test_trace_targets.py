@@ -74,6 +74,10 @@ def _exclusive_model():
     )
 
 
+# the replay route's neighbour queries, which the benchmark traces by these names
+QUERY_TARGETS = {_exclusive_replay: ("geometry.GridIndex.query", "geometry.Metric.distance_many")}
+
+
 @pytest.mark.parametrize("route", [_exclusive_replay, _circumball_evaluation, _exclusive_model])
 def test_region_targets_trace_real_calls(workloads, route):
     from spans import SpanTable, Tracer
@@ -86,5 +90,6 @@ def test_region_targets_trace_real_calls(workloads, route):
     finally:
         tracer.restore()
     table = SpanTable(tracer)
-    for name in ("functionals.NeighborhoodMap.build", "functionals.BallUnionRegion.contains_many"):
+    for name in ("functionals.NeighborhoodMap.build", "functionals.BallUnionRegion.contains_many",
+                 *QUERY_TARGETS.get(route, ())):
         assert table.calls(name) > 0, name
