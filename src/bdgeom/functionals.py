@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Circumball, Metric, circumball, unit_ball_volume
+from .geometry import Circumball, Metric, circumball, norms, unit_ball_volume
 
 
 class ConfigError(ValueError):
@@ -28,7 +28,8 @@ class LocalFunctional:
     """Bounded, local, scale-invariant function of ``k``-point subsets.
 
     ``batch`` scores a ``(B, k, d)`` stack of subsets at scale ``r`` under
-    a metric and returns the ``(B,)`` values.  It is the one route through
+    a metric and returns the ``(B,)`` values; a row's value depends on that
+    row alone, bitwise, whatever stack it is scored in.  It is the one route through
     which the evaluator, the theory and the tracker score subsets, except
     the tracker's ``circumball`` rows, which ``NeighborhoodMap.score``
     scores with the next field; calling the functional on one ``(k, d)``
@@ -63,9 +64,13 @@ def make_clique(k: int) -> LocalFunctional:
     iu = np.triu_indices(k, 1)
 
     def batch(points: NDArray, r: float, metric: Metric) -> NDArray:
-        # a single point has no pairs, so every subset scores 1
         adjacent = metric.pairwise_batch(points, iu) <= r
-        return np.all(adjacent, axis=1).astype(float)
+        # a single point has no pairs, so every subset scores 1; ANDing the
+        # few pair columns beats np.all's reduction over a short axis
+        clique = np.ones(len(adjacent), dtype=bool)
+        for pair in range(adjacent.shape[1]):
+            clique &= adjacent[:, pair]
+        return clique.astype(float)
 
     return LocalFunctional(name=f"clique:{k}", k=k, r_max=1.0, xi_sup=1.0, batch=batch)
 
@@ -216,7 +221,7 @@ class BallUnionRegion:
         delta = ys[..., :, None, :] - self.centers[..., None, :, :]
         if self.metric.kind == "torus":
             delta -= delta.round()
-        dist = np.sqrt((delta * delta).sum(axis=-1))
+        dist = norms(delta)
         limit = self.radii[..., None, :]
         hit = dist <= limit if self.closed else dist < limit
         return hit.any(axis=-1)
@@ -322,8 +327,7 @@ def pair_volumes(
     dim = centers_a.shape[-1]
     if centers_a.shape[1] == centers_b.shape[1] == 1:
         ra, rb = radii_a[:, 0], radii_b[:, 0]
-        delta = centers_b[:, 0] - centers_a[:, 0]
-        gap = np.sqrt(np.sum(delta * delta, axis=-1))
+        gap = norms(centers_b[:, 0] - centers_a[:, 0])
         vball = unit_ball_volume(dim)
         return vball * ra**dim, vball * rb**dim, _lens_volume(ra, rb, gap, dim)
     if dim > 2:
@@ -377,7 +381,7 @@ def _union_area(centers: NDArray, radii: NDArray) -> NDArray:
     covers, taken counter-clockwise."""
     m = centers.shape[1]
     delta = centers[:, None, :, :] - centers[:, :, None, :]  # [h, i, j] = c_j - c_i
-    gap = np.sqrt(np.sum(delta * delta, axis=-1))
+    gap = norms(delta)
     ri, rj = radii[:, :, None], radii[:, None, :]
     # disc i lies inside disc j; of identical discs only the first is kept
     later = np.arange(m)[None, :] >= np.arange(m)[:, None]

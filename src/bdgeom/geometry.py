@@ -26,6 +26,22 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+def norms(delta: NDArray) -> NDArray:
+    """Euclidean lengths of the vectors along the last axis of ``delta``:
+    the square root of the squared coordinates, added one coordinate at a
+    time.  Every distance in the package is this formula, so every caller
+    breaks ties at ``dist == r`` alike.
+
+    Below 8 coordinates numpy's own sum runs in the same order, so this is
+    bitwise ``np.sqrt((delta * delta).sum(axis=-1))``; over a 2- or 3-long
+    axis numpy's reduction costs more than the arithmetic.
+    """
+    total = delta[..., 0] * delta[..., 0]
+    for axis in range(1, delta.shape[-1]):
+        total += delta[..., axis] * delta[..., axis]
+    return np.sqrt(total)
+
+
 def padded_radius(rho: float) -> float:
     """Search radius for candidates of a closed ``rho``-ball query.
 
@@ -52,8 +68,7 @@ class Metric:
         return delta
 
     def distance(self, a: NDArray, b: NDArray) -> float:
-        delta = self.displacement(a, b)
-        return float(np.sqrt(np.sum(delta * delta)))
+        return float(norms(self.displacement(a, b)))
 
     def distance_many(self, x: NDArray, points: NDArray) -> NDArray:
         """Distances from ``x`` to each row of ``points``; ``x`` is one
@@ -63,18 +78,10 @@ class Metric:
             pts = pts.reshape(0, self.dim)
         delta = pts - np.asarray(x, dtype=float)
         if self.kind == "torus":
+            # the array method: np.round's arithmetic without its wrapper's
+            # per-call cost, which dominates on the few rows of one event
             delta -= delta.round()
-        # array methods: the arithmetic of np.round and np.sum without their
-        # wrappers' per-call cost, which dominates on the few rows of one event
-        return np.sqrt((delta * delta).sum(axis=-1))
-
-    def pairwise(self, points: NDArray) -> NDArray:
-        """Full pairwise distance matrix for the rows of ``points``."""
-        pts = np.asarray(points, dtype=float)
-        delta = pts[:, None, :] - pts[None, :, :]
-        if self.kind == "torus":
-            delta = delta - np.round(delta)
-        return np.sqrt(np.sum(delta * delta, axis=2))
+        return norms(delta)
 
     def pairwise_batch(self, points: NDArray, pairs: tuple[NDArray, NDArray]) -> NDArray:
         """Distances of selected point pairs within each of a batch of sets.
@@ -88,7 +95,7 @@ class Metric:
         delta = pts[:, pairs[0]] - pts[:, pairs[1]]
         if self.kind == "torus":
             delta -= delta.round()
-        return np.sqrt((delta * delta).sum(axis=2))
+        return norms(delta)
 
     def unwrap(self, points: NDArray) -> NDArray:
         """Euclidean representatives of torus point sets of diameter < 1/2.
@@ -382,6 +389,6 @@ def circumball(points: NDArray) -> Circumball:
     offset = np.sum(vt * proj[..., :, None], axis=-2)
     coeff = np.sum(u_mat * (np.sum(vt * offset[..., None, :], axis=-1) / sing)[..., None, :], axis=-1)
     bary = np.concatenate([1.0 - np.sum(coeff, axis=-1, keepdims=True), coeff], axis=-1)
-    radius = np.sqrt(np.sum(offset * offset, axis=-1))
+    radius = norms(offset)
     inside = valid & np.all(bary > GEOM_TOL, axis=-1)
     return Circumball(base + offset, radius, inside, bary, valid)

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
 from .functionals import BallUnionRegion, ConfigError, LocalFunctional, NeighborhoodMap
-from .geometry import GridIndex, Metric, csr_rows, csr_starts, expand_ranges, padded_radius
+from .geometry import GridIndex, Metric, csr_rows, csr_starts, expand_ranges, norms, padded_radius
 from .process import (
     Configuration,
     Event,
@@ -383,8 +383,8 @@ def evaluate_statistic(
     iff ``sum_{v in S} deg_r(v) == 2 * e_r(S)``, where ``deg_r`` is the
     degree in the closed radius-``r`` graph and ``e_r(S)`` counts its edges
     inside ``S``: no member has an ``r``-neighbour outside ``S`` (for a
-    clique, ``S`` is a whole component).  Every edge is decided by the
-    ``Metric.distance_many`` formula, so a pair at distance exactly ``r``
+    clique, ``S`` is a whole component).  Every edge is decided by
+    ``geometry.norms``, so a pair at distance exactly ``r``
     is adjacent, as in ``BallUnionRegion.contains_many`` and the tracker's
     ``GridIndex``.  ``circumball`` regions are open balls with no degree
     form: one KD-tree query proposes the points near every circumcentre,
@@ -463,8 +463,8 @@ def _close_pairs(
 ) -> tuple[NDArray, NDArray]:
     """Index pairs ``i < j`` within closed distance ``rho``, with distances.
 
-    The KD-tree proposes candidates at a slightly inflated radius and the
-    ``Metric.distance_many`` formula decides, so ties at ``dist == rho``
+    The KD-tree proposes candidates at a slightly inflated radius and
+    ``geometry.norms`` decides, so ties at ``dist == rho``
     fall as in ``BallUnionRegion.contains_many`` and ``GridIndex.query``.
     Pairs come in the tree's order.
     """
@@ -472,7 +472,7 @@ def _close_pairs(
     delta = positions[pairs[:, 1]] - positions[pairs[:, 0]]
     if metric.kind == "torus":
         delta = delta - np.round(delta)
-    dist = np.sqrt(np.sum(delta * delta, axis=1))
+    dist = norms(delta)
     keep = dist <= rho
     return pairs[keep], dist[keep]
 

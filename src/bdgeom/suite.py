@@ -16,9 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import stats
 
 from .functionals import LocalFunctional, NeighborhoodMap, make_clique, make_morse, make_subgraph
+from .geometry import norms
 from .process import (
     Configuration,
     Density,
@@ -174,6 +174,9 @@ def check_cross_sampler(seed: int = 0) -> CheckResult:
         for rep in range(reps):
             pos, births, ends = _marked_arrays(config, reps + rep)
             marked_counts[rep] = count_pairs_within(pos[_alive_at(births, ends, t_probe)], r, metric)
+        # imported here: scipy.stats would add about 0.4 s and 30 MB to every import of bdgeom
+        from scipy import stats
+
         pvalue = float(stats.ks_2samp(event_counts, marked_counts).pvalue)
         detail = (
             f"two-sample KS p={pvalue:.3f}; means {event_counts.mean():.2f} vs "
@@ -368,7 +371,7 @@ def _battery_cases() -> list[dict]:
 
     def crowd(x: NDArray, allpts: NDArray, radius: float) -> NDArray:
         delta = m2.displacement(allpts[None], x[:, None])
-        return np.count_nonzero(np.sqrt(np.sum(delta * delta, axis=2)) <= radius, axis=1)
+        return np.count_nonzero(norms(delta) <= radius, axis=1)
 
     return [
         dict(name="count-single", pattern={(1,): 1}, n=9.0, density=d2, budget=200,

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .functionals import ConfigError, LocalFunctional, NeighborhoodMap, pair_volumes
-from .geometry import Metric, unit_ball_volume
+from .geometry import Metric, norms, unit_ball_volume
 from .process import Density
 
 
@@ -46,7 +46,7 @@ class IntegralEstimate:
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> NDArray:
     """Uniform draws from the ball of the given radius around the origin."""
     direction = rng.standard_normal((count, dim))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    direction /= norms(direction)[:, None]
     radii = radius * rng.random(count) ** (1.0 / dim)
     return direction * radii[:, None]
 
@@ -95,6 +95,28 @@ def _shared_tuples(
     return first, np.concatenate([head, fresh], axis=1), volume
 
 
+def _pair_scores(
+    functional: LocalFunctional, first: NDArray, second: NDArray, shared: int, metric: Metric
+) -> NDArray:
+    """``batch(first) * batch(second)`` at scale 1, scoring the second tuple
+    only on the rows where the first scores nonzero (a row's score does not
+    depend on the stack it is scored in).  With every point shared the
+    second tuple is the first, so its scores are the first's."""
+    scores = functional.batch(first, 1.0, metric)
+    if shared == functional.k:
+        return scores * scores
+    vals = scores.copy()
+    counted = np.flatnonzero(scores)
+    vals[counted] *= functional.batch(second[counted], 1.0, metric)
+    return vals
+
+
+def _check_budget(budget: int) -> None:
+    """A plain model's standard error needs at least two draws."""
+    if not budget >= 2:
+        raise ConfigError(f"the plain model budget must be at least 2, got {budget!r}")
+
+
 def rate_integral(
     functional: LocalFunctional,
     density: Density,
@@ -115,6 +137,7 @@ def rate_integral(
     k = functional.k
     if not 1 <= shared <= k:
         raise ValueError("shared must lie in 1..k")
+    _check_budget(budget)
     dim = density.dim
     closed = method in ("auto", "closed-form")
     if closed and functional.name == "clique:2" and density.kind == "uniform":
@@ -125,8 +148,7 @@ def rate_integral(
         raise ConfigError("no closed form for this functional/density pair")
     rng = np.random.default_rng(seed)
     first, second, volume = _shared_tuples(functional, dim, shared, budget, rng)
-    metric = Metric("euclidean", dim)
-    vals = functional.batch(first, 1.0, metric) * functional.batch(second, 1.0, metric)
+    vals = _pair_scores(functional, first, second, shared, Metric("euclidean", dim))
     q_part = density.power_integral(2 * k - shared)
     scale = volume * q_part
     return IntegralEstimate(
@@ -236,6 +258,7 @@ def mixture_model(
     """
     if gamma <= 0:
         raise ConfigError("gamma must be positive")
+    _check_budget(budget)
     k = functional.k
     raw = np.zeros(k)
     raw_err = np.zeros(k)
@@ -305,7 +328,7 @@ def _exclusive_harmonics(
         functional, dim, shared, budget, rng, free_anchor_radius=2.0 * reach
     )
     metric = Metric("euclidean", dim)
-    vals = functional.batch(first, 1.0, metric) * functional.batch(second, 1.0, metric)
+    vals = _pair_scores(functional, first, second, shared, metric)
     hits = np.nonzero(vals != 0.0)[0]
     uniform_density = density.kind == "uniform"
     if uniform_density:

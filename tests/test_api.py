@@ -1,5 +1,8 @@
 """The package's public names, and the documented example that uses them."""
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bdgeom
@@ -33,6 +36,7 @@ REMOVED = (
     (functionals, "InvarianceReport"),
     (functionals, "_unit_vector"),
     (statistics, "TimeSeries"),
+    (geometry.Metric, "pairwise"),
 )
 # parameters that had one value everywhere and became constants
 REMOVED_PARAMETERS = (
@@ -54,6 +58,15 @@ def test_public_names_resolve_and_removed_names_are_gone():
 def test_removed_parameters_are_gone():
     for function, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(function).parameters, (function.__name__, name)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.4 s and 30 MB; its two users import it in their bodies
+    code = "import sys, bdgeom, bdgeom.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(bdgeom.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_readme_quick_start_runs_as_written():

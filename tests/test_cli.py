@@ -303,6 +303,17 @@ def test_integer_field_must_be_whole_and_within_float_range(tmp_path, capsys, co
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("budget", [0, 1, -3])
+def test_theory_plain_budget_below_two_exits_2(tmp_path, capsys, budget):
+    # 0 wrote NaN weights, 1 NaN errors, and -3 ended in a traceback
+    cfg = write_config(tmp_path, **SIM_FIELDS)
+    out = tmp_path / "out"
+    args = ["theory", "--config", cfg, "--out", str(out), "--set", 'functional="clique:3"', "--set", f"budget={budget}"]
+    assert main(args) == 2
+    assert "budget must be at least 2" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 # -- full battery (restricted to fast checks) ------------------------------------------
 
 

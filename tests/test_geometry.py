@@ -7,7 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bdgeom.geometry import GridIndex, Metric, circumball
+from bdgeom.functionals import BallUnionRegion
+from bdgeom.geometry import GridIndex, Metric, circumball, norms
+
+
+def summed_norms(delta):
+    """Lengths by numpy's summed formula, which ``norms`` reproduces
+    bitwise below 8 coordinates."""
+    return np.sqrt((delta * delta).sum(axis=-1))
+
+
+def distance_matrix(metric, pts):
+    """Full pairwise distance matrix of the rows of ``pts`` by the summed
+    formula, with the minimal image on the torus."""
+    delta = pts[:, None, :] - pts[None, :, :]
+    if metric.kind == "torus":
+        delta = delta - np.round(delta)
+    return summed_norms(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +48,7 @@ def test_pairwise_matches_distance():
     for kind in ("euclidean", "torus"):
         m = Metric(kind, 2)
         pts = rng.random((14, 2))
-        dmat = m.pairwise(pts)
+        dmat = distance_matrix(m, pts)
         assert np.allclose(dmat, dmat.T)
         assert np.all(np.diag(dmat) == 0.0)
         for i in range(len(pts)):
@@ -48,7 +64,7 @@ def test_pairwise_batch_matches_pairwise():
     got = m.pairwise_batch(batch, iu)
     assert got.shape == (17, 3)
     for b in range(len(batch)):
-        assert np.array_equal(got[b], m.pairwise(batch[b])[iu])
+        assert np.array_equal(got[b], distance_matrix(m, batch[b])[iu])
 
 
 def test_distance_many_empty():
@@ -58,6 +74,59 @@ def test_distance_many_empty():
 
 # np.mod(x, 1.0) rounds each of the tiny negatives up to exactly 1.0
 SEAM = (0.0, -0.0, 1.0, -1e-17, -5e-324, 1.0 - 2.0**-53, -1.0, 3.0)
+
+
+def tie_and_seam_points(rng, count, dim):
+    """``(count, 3, dim)`` point sets on the grid of eighths, mixed with seam
+    coordinates and uniform ones.  In the first half of the sets point 1 is
+    point 0 moved by 1/8 along an axis, and point 2 is point 0 moved by
+    -7/8, 1/8 away on the torus across the seam: exact ties at r = 1/8."""
+    pts = rng.integers(0, 8, size=(count, 3, dim)) / 8.0
+    seam = rng.random(pts.shape) < 0.2
+    pts[seam] = rng.choice(SEAM, size=int(seam.sum()))
+    free = rng.random(pts.shape) < 0.2
+    pts[free] = rng.random(int(free.sum()))
+    tied = np.arange(count // 2)
+    pts[tied, 1:] = pts[tied, :1]
+    pts[tied, 1, rng.integers(0, dim, len(tied))] += 0.125
+    pts[tied, 2, rng.integers(0, dim, len(tied))] -= 0.875
+    return pts
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_norms_match_the_summed_formula_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    # magnitudes from 1e-200, where squares underflow, up to the 1e150 coordinates the store accepts
+    scales = 10.0 ** rng.integers(-200, 151, size=(64, 1, 1)).astype(float)
+    ties = tie_and_seam_points(rng, 64, dim)
+    torus = ties[:, 1:] - ties[:, :1]
+    torus -= np.round(torus)
+    for delta in (rng.standard_normal((64, 5, dim)) * scales, ties, torus, ties[0, 0], np.zeros((0, dim))):
+        assert np.array_equal(norms(delta), summed_norms(delta))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+@pytest.mark.parametrize("kind", ["euclidean", "torus"])
+def test_metric_distances_and_containment_match_the_summed_formula(kind, dim):
+    # every distance goes through norms, so each caller agrees bitwise with
+    # the summed formula, and ties at dist == r fall the same way in each
+    metric = Metric(kind, dim)
+    rng = np.random.default_rng(100 + dim)
+    pts = tie_and_seam_points(rng, 200, dim)
+    iu = np.triu_indices(3, 1)  # pairs 0-1, 0-2, 1-2
+    want = np.stack([distance_matrix(metric, row)[iu] for row in pts])
+    assert np.array_equal(metric.pairwise_batch(pts, iu), want)
+    assert np.array_equal(metric.distance_many(pts[:, 1], pts[:, 2]), want[:, 2])
+    assert np.array_equal(metric.distance_many(pts[0, 0], pts[0]), distance_matrix(metric, pts[0])[0])
+    assert metric.distance(pts[0, 0], pts[0, 1]) == want[0, 0]
+    r = 0.125
+    assert np.count_nonzero(want == r) >= len(pts) // 4  # the ties are there
+    for closed in (True, False):
+        # point 1 against the balls around points 0 and 2
+        region = BallUnionRegion(pts[:, [0, 2]], np.full((len(pts), 2), r), closed, metric)
+        near = want[:, [0, 2]]
+        hit = (near <= r) if closed else (near < r)
+        assert np.array_equal(region.contains_many(pts[:, 1:2]), hit.any(axis=-1)[:, None])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -77,7 +146,7 @@ def test_unwrap_preserves_small_diameter_geometry():
         pts = np.mod(center + 0.1 * (rng.random((5, 2)) - 0.5), 1.0)
         flat = m.unwrap(pts)
         euclid = Metric("euclidean", 2)
-        assert np.allclose(euclid.pairwise(flat), m.pairwise(pts), atol=1e-12)
+        assert np.allclose(distance_matrix(euclid, flat), distance_matrix(m, pts), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ import os
 import numpy as np
 import pytest
 
+from bdgeom import theory
 from bdgeom.functionals import (
     ConfigError,
     NeighborhoodMap,
     make_clique,
     make_morse,
+    make_subgraph,
     pair_volumes,
 )
 from bdgeom.geometry import Metric
@@ -88,6 +90,54 @@ def test_rate_integral_validation():
         rate_integral(make_clique(2), UNIFORM2, shared=0)
     with pytest.raises(ConfigError):
         rate_integral(make_clique(3), UNIFORM2, shared=1, method="closed-form")
+
+
+@pytest.mark.parametrize("budget", [0, 1, -3])
+def test_plain_budget_below_two_is_rejected(budget):
+    # one draw has no standard error, none has no mean, and a negative one no array
+    for build in (
+        lambda: rate_integral(make_clique(3), UNIFORM2, 1, budget=budget),
+        lambda: rate_integral(make_clique(2), UNIFORM2, 1, budget=budget),
+        lambda: mixture_model(make_clique(3), UNIFORM2, gamma=1.0, budget=budget),
+    ):
+        with pytest.raises(ConfigError, match="budget must be at least 2"):
+            build()
+
+
+def plain_pair_scores(functional, first, second, shared, metric):
+    """The plain estimator: both tuples scored on every row."""
+    return functional.batch(first, 1.0, metric) * functional.batch(second, 1.0, metric)
+
+
+@pytest.mark.parametrize(
+    "functional, kind",
+    [(make_clique(3), "balls"), (make_subgraph(3, [(0, 1), (1, 2)]), "balls"), (make_morse(1), "circumball")],
+    ids=["clique3", "path3", "morse1"],
+)
+def test_second_tuple_scoring_matches_the_plain_estimator_bitwise(functional, kind, monkeypatch):
+    # _pair_scores scores the second tuple only where the first counts, and
+    # reuses the first's scores when every point is shared
+    nbhd = NeighborhoodMap(kind)
+    metric = Metric("euclidean", 2)
+
+    def estimates(shared):
+        out = list(_exclusive_harmonics(functional, nbhd, UNIFORM2, 1.3, shared, 4, budget=2_000, seed=shared))
+        if shared:
+            out.append(rate_integral(functional, UNIFORM2, shared, budget=2_000, seed=shared, method="monte-carlo"))
+        return out
+
+    for shared in range(functional.k + 1):
+        rng = np.random.default_rng(shared)
+        first, second, _ = _shared_tuples(functional, 2, shared, 2_000, rng, free_anchor_radius=1.0)
+        want = plain_pair_scores(functional, first, second, shared, metric)
+        assert np.array_equal(theory._pair_scores(functional, first, second, shared, metric), want)
+        fast = estimates(shared)
+        with monkeypatch.context() as patch:
+            patch.setattr(theory, "_pair_scores", plain_pair_scores)
+            plain = estimates(shared)
+        for got, ref in zip(fast[:2], plain[:2]):
+            assert np.array_equal(got, ref)
+        assert fast[2:] == plain[2:]
 
 
 # -- plain mixture model ---------------------------------------------------------
