@@ -8,14 +8,22 @@ The stationary law of the alive set is a Poisson process with intensity
 Two exact samplers are provided:
 
 * ``simulate_events``: the event-driven engine (competing exponential
-  clocks), producing the full ordered event stream on ``(0, T]``;
+  clocks), producing the full ordered event stream on ``(0, T]``.  It draws
+  its waits and uniforms in blocks, decides each event and its dying slot
+  by one uniform, and draws all birth positions in one block at the end;
+  the stream is one ``EventArrays`` of per-event columns;
 * ``sample_marked``: the static construction that draws all points that are
   ever alive during ``[0, T]`` in one shot, each carrying a birth time and
   lifetime, from which any time slice can be read off.
+
+``Configuration.net_change`` reads a batch of event rows as one update
+(deaths of points alive at its start, births of points alive at its end);
+``Configuration.apply_events`` and ``SubsetTracker.apply_events`` both
+apply it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -191,13 +199,75 @@ class Event:
     point: MarkedPoint
 
 
+@dataclass(frozen=True, eq=False)
+class EventArrays:
+    """A time-ordered run of events as parallel arrays, one row per event.
+
+    ``time (E,)`` float, ``birth (E,)`` bool (a birth, else a death),
+    ``pid (E,)`` ``np.intp``, ``position (E, d)``, and the point's own
+    ``born_at (E,)`` (0 for a point of the initial state) and
+    ``lifetime (E,)``.  A slice is a view of the same arrays; an integer
+    index, negative ones too, and iteration build the ``Event`` and its
+    ``MarkedPoint`` on demand.
+    """
+
+    time: NDArray
+    birth: NDArray
+    pid: NDArray
+    position: NDArray
+    born_at: NDArray
+    lifetime: NDArray
+
+    @classmethod
+    def of(cls, events: "EventArrays | Sequence[Event]") -> "EventArrays":
+        """``events`` as arrays: itself if it already is, else one pass
+        over the ``Event`` objects.  Their positions must share one shape."""
+        if isinstance(events, EventArrays):
+            return events
+        events = list(events)
+        points = [event.point for event in events]
+        positions = [np.asarray(point.position, dtype=float) for point in points]
+        shapes = sorted({position.shape for position in positions})
+        if len(shapes) > 1:
+            raise ValueError(f"event positions must share one shape, got {shapes[0]} and {shapes[1]}")
+        return cls(
+            np.array([event.time for event in events], dtype=float),
+            np.array([event.kind == "birth" for event in events], dtype=bool),
+            np.array([point.pid for point in points], dtype=np.intp),
+            np.array(positions).reshape((len(events),) + (shapes[0] if shapes else (0,))),
+            np.array([point.birth for point in points], dtype=float),
+            np.array([point.lifetime for point in points], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return EventArrays(*(getattr(self, column.name)[key] for column in fields(self)))
+        point = MarkedPoint(int(self.pid[key]), self.position[key], float(self.born_at[key]), float(self.lifetime[key]))
+        return Event(float(self.time[key]), "birth" if self.birth[key] else "death", point)
+
+    def __iter__(self):
+        for time, birth, pid, position, born_at, lifetime in zip(
+            self.time.tolist(), self.birth.tolist(), self.pid.tolist(), self.position,
+            self.born_at.tolist(), self.lifetime.tolist(),
+        ):
+            yield Event(time, "birth" if birth else "death", MarkedPoint(pid, position, born_at, lifetime))
+
+
 @dataclass
 class EventStream:
-    """Time-ordered events on ``(0, horizon]`` plus the initial point count."""
+    """Time-ordered events on ``(0, horizon]`` plus the initial point count.
+    ``events`` may be given as a sequence of ``Event``s, which is turned
+    into ``EventArrays`` once."""
 
-    events: list[Event]
+    events: EventArrays
     horizon: float
     initial_count: int
+
+    def __post_init__(self):
+        self.events = EventArrays.of(self.events)
 
     def __iter__(self):
         return iter(self.events)
@@ -205,6 +275,9 @@ class EventStream:
     def __len__(self):
         return len(self.events)
 
+
+# unit exponentials and uniforms the event engine draws at a time
+DRAW_BLOCK = 4096
 
 # a larger coordinate could overflow a squared distance
 MAX_COORDINATE = 1e150
@@ -280,11 +353,18 @@ class Configuration:
         if pids is None:
             return self._pos[self._alive]
         idx = np.asarray(pids, dtype=np.intp)
-        # the range test first, with negative ids read as huge unsigned ones,
-        # so that none indexes from the end
-        if not (idx.view(np.uintp) < self._next_id).all() or not self._alive[idx].all():
+        if not self._holds(idx).all():
             raise KeyError(f"point ids not all alive: {pids!r}")
         return self._pos[idx]
+
+    def _holds(self, pids: NDArray) -> NDArray:
+        """Whether each of the ids ``pids`` is issued and alive."""
+        # the range test first, with negative ids read as huge unsigned ones,
+        # so that none indexes from the end
+        pids = np.asarray(pids, dtype=np.intp)
+        held = pids.view(np.uintp) < self._next_id
+        held[held] = self._alive[pids[held]]
+        return held
 
     def _checked_position(self, position: NDArray) -> NDArray:
         position = np.asarray(position, dtype=float)
@@ -321,35 +401,52 @@ class Configuration:
         if self._grid is not None:
             self._grid.remove(pid)
 
-    def apply_events(self, events: Sequence[Event]) -> None:
-        """Apply a time-ordered batch of events as one update of its net
-        change.  Every birth gets ``add``'s checks, one born and dead inside
-        the batch too: its id must not be issued yet and its position must
-        have shape ``(d,)`` with every coordinate finite and at most
-        ``MAX_COORDINATE`` in size.  A death must name a point alive at its
-        turn.  A refused batch changes nothing."""
-        next_id = self._next_id
-        births: list[NDArray] = []
-        born: dict[int, int] = {}  # id -> row in births, while alive
-        died: dict[int, None] = {}  # ordered, with set lookups
-        for event in events:
-            pid = event.point.pid
-            if event.kind == "birth":
-                if pid < next_id:
-                    raise KeyError(f"point id {pid} was already issued")
-                born[pid] = len(births)
-                births.append(self._checked_position(event.point.position))
-                next_id = pid + 1
-            elif born.pop(pid, None) is None:
-                if pid not in self or pid in died:
-                    raise KeyError(pid)
-                died[pid] = None
-        points = np.array(births, dtype=float).reshape(-1, self.metric.dim)
+    def net_change(self, events: EventArrays | Sequence[Event]) -> tuple[NDArray, NDArray, NDArray, int]:
+        """The net change of a time-ordered batch of events on this
+        configuration, which it leaves as it is: the ids of the points born
+        in the batch and alive at its end (ascending) with their wrapped
+        positions, the ids of the points alive at its start that die in it
+        (ascending), and the next id to issue after it.  Every birth gets
+        ``add``'s checks, one born and dead inside the batch too: its id
+        must not be issued yet and its position must have shape ``(d,)``
+        with every coordinate finite and at most ``MAX_COORDINATE`` in
+        size.  A death must name a point alive at its turn: alive at the
+        batch start or born earlier in it, and not dead already."""
+        events = EventArrays.of(events)
+        birth = events.birth
+        born = events.pid[birth]
+        # the largest id issued before each birth
+        issued = np.concatenate([[self._next_id - 1], born[:-1]])
+        if (born <= issued).any():
+            raise KeyError(f"point id {born[np.argmax(born <= issued)]} was already issued")
+        dim = self.metric.dim
+        if len(born) and events.position.shape[1:] != (dim,):
+            raise ValueError(f"position must have shape ({dim},), got {events.position.shape[1:]}")
+        rows = np.flatnonzero(~birth)
+        died = events.pid[rows]
+        at = np.searchsorted(born, died)
+        in_batch = at < len(born)
+        in_batch[in_batch] = born[at[in_batch]] == died[in_batch]
+        alive = self._holds(died)
+        alive[in_batch] = np.flatnonzero(birth)[at[in_batch]] < rows[in_batch]
+        again = np.ones(len(died), dtype=bool)
+        again[np.unique(died, return_index=True)[1]] = False
+        bad = ~alive | again
+        if bad.any():
+            raise KeyError(int(died[np.argmax(bad)]))
+        points = events.position[birth].reshape(len(born), dim)
         _check_coordinates(points)
-        kept = np.fromiter(born, dtype=np.intp, count=len(born))
+        kept = np.ones(len(born), dtype=bool)
+        kept[at[in_batch]] = False
+        next_id = int(born[-1]) + 1 if len(born) else self._next_id
+        return born[kept], self.metric.wrap(points[kept]), np.sort(died[~in_batch]), next_id
+
+    def apply_events(self, events: EventArrays | Sequence[Event]) -> None:
+        """Apply a time-ordered batch of events as one update of its
+        ``net_change``.  A refused batch changes nothing."""
+        kept, points, gone, next_id = self.net_change(events)
         self._reserve(next_id)
-        self._pos[kept] = self.metric.wrap(points[list(born.values())])
-        gone = np.fromiter(died, dtype=np.intp, count=len(died))
+        self._pos[kept] = points
         self._alive[kept] = True
         self._alive[gone] = False
         self._next_id = next_id
@@ -406,8 +503,14 @@ def simulate_events(
 
     With ``m`` points alive the next event fires after an Exp(n + m) wait
     and is a birth with probability ``n / (n + m)``, else the death of a
-    uniformly chosen alive point.  Birth events carry the point's full
-    lifetime: points still alive at the horizon get the remainder of an
+    uniformly chosen alive point.  The waits and the choices come from
+    blocks of ``DRAW_BLOCK`` unit exponentials and uniforms.  One uniform
+    ``U`` decides both: with ``x = U * (n + m)`` the event is a birth iff
+    ``x < n``, and otherwise the point in slot ``min(int(x - n), m - 1)``
+    of the alive list dies (the clamp covers ``U * (n + m)`` rounded up to
+    ``n + m``).  The birth positions are drawn in one block after
+    the last event.  Every event row carries its point's full lifetime:
+    points born and still alive at the horizon get the remainder of an
     independent unit exponential appended, which leaves the law of the
     stream unchanged (deaths are memoryless) while making recorded
     lifetimes exactly Exp(1) rather than censored.
@@ -416,43 +519,53 @@ def simulate_events(
         rng = config.rng()
     n = float(config.n)
     horizon = float(config.horizon)
-    density = config.density
 
     alive: list[int] = initial.ids().tolist()
-    born_point: dict[int, MarkedPoint] = {}
-    next_id = initial.next_id
-
-    events: list[Event] = []
+    first_new = next_id = initial.next_id
+    times: list[float] = []
+    codes: list[int] = []  # a birth's id, or ~id for a death
     t = 0.0
-    while True:
-        m = len(alive)
-        t += rng.exponential(1.0 / (n + m))
-        if t > horizon:
-            break
-        if rng.random() < n / (n + m):
-            pos = density.sample(rng, 1)[0]
-            point = MarkedPoint(next_id, pos, t, np.nan)
-            born_point[next_id] = point
-            alive.append(next_id)
-            next_id += 1
-            events.append(Event(t, "birth", point))
-        else:
-            slot = int(rng.integers(m))
-            pid = alive[slot]
-            last = alive.pop()
-            if last != pid:
-                alive[slot] = last
-            point = born_point.get(pid)
-            if point is None:
-                point = MarkedPoint(pid, initial.position(pid), 0.0, t)
+    while t <= horizon:
+        uniforms = rng.random(DRAW_BLOCK).tolist()
+        for wait, u in zip(rng.standard_exponential(DRAW_BLOCK).tolist(), uniforms):
+            m = len(alive)
+            t += wait / (n + m)
+            if t > horizon:
+                break
+            x = u * (n + m)
+            if x < n:
+                alive.append(next_id)
+                codes.append(next_id)
+                next_id += 1
             else:
-                point.lifetime = t - point.birth
-            events.append(Event(t, "death", point))
-    # complete the lifetimes of points still alive at the horizon
-    for pid in alive:
-        point = born_point.get(pid)
-        if point is not None:
-            point.lifetime = (horizon - point.birth) + rng.exponential(1.0)
+                slot = min(int(x - n), m - 1)
+                codes.append(~alive[slot])
+                alive[slot] = alive[-1]
+                alive.pop()
+            times.append(t)
+    time = np.array(times)
+    code = np.array(codes, dtype=np.intp)
+    birth = code >= 0
+    pid = np.where(birth, code, ~code)
+    # the points born in the stream, by id - first_new
+    new = pid >= first_new
+    fresh = pid[new] - first_new
+    new_pos = config.density.sample(rng, next_id - first_new)
+    start = time[birth]
+    end = np.full(len(start), np.nan)
+    end[fresh[~birth[new]]] = time[new & ~birth]
+    still = np.isnan(end)
+    lifetime_new = end - start
+    lifetime_new[still] = (horizon - start[still]) + rng.standard_exponential(np.count_nonzero(still))
+    # rows of points of the initial state: born at 0, dead at the row's time
+    position = np.empty((len(pid), config.dim))
+    position[new] = new_pos[fresh]
+    position[~new] = initial.positions_array(pid[~new])
+    born_at = np.zeros(len(pid))
+    born_at[new] = start[fresh]
+    lifetime = time.copy()
+    lifetime[new] = lifetime_new[fresh]
+    events = EventArrays(time, birth, pid, position, born_at, lifetime)
     return EventStream(events=events, horizon=horizon, initial_count=len(initial))
 
 
@@ -497,7 +610,7 @@ def stream_cuts(stream: EventStream, times: Sequence[float]) -> NDArray:
     the times are finite and non-decreasing and the event times do not
     decrease."""
     times = _checked_times(times)
-    event_times = np.fromiter((event.time for event in stream.events), dtype=float, count=len(stream.events))
+    event_times = stream.events.time
     if (event_times[1:] < event_times[:-1]).any():
         raise ValueError("event times must not decrease")
     return np.searchsorted(event_times, times, side="right")
@@ -506,6 +619,5 @@ def stream_cuts(stream: EventStream, times: Sequence[float]) -> NDArray:
 def alive_count_path(stream: EventStream, times: Sequence[float]) -> NDArray:
     """Alive-point counts at the given non-decreasing times."""
     cuts = stream_cuts(stream, times)
-    births = np.fromiter((event.kind == "birth" for event in stream.events), dtype=int, count=len(stream.events))
-    running = np.concatenate([[0], np.cumsum(2 * births - 1)])
+    running = np.concatenate([[0], np.cumsum(np.where(stream.events.birth, 1, -1))])
     return stream.initial_count + running[cuts]

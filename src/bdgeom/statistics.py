@@ -8,10 +8,11 @@ neighborhood region contains no alive point outside the subset itself (the
 tracker counts those occupants per subset).
 
 The tracker takes events in batches: ``replay`` cuts a stream at the sample
-times and hands each piece to ``SubsetTracker.apply_events``, which applies
-the piece's net change (the deaths of points alive at its start, the births
-of points alive at its end) as a few stacked array updates, and then to
-``Configuration.apply_events``.
+times and hands each piece, a view of the stream's ``EventArrays``, to
+``SubsetTracker.apply_events``, which applies the piece's net change
+(``Configuration.net_change``: the deaths of points alive at its start, the
+births of points alive at its end) as a few stacked array updates, and then
+to ``Configuration.apply_events``.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .geometry import GridIndex, Metric, csr_rows, csr_starts, expand_ranges, no
 from .process import (
     Configuration,
     Event,
+    EventArrays,
     EventStream,
     SimulationConfig,
     _checked_times,
@@ -148,22 +150,11 @@ class SubsetTracker:
         """Update for one event; the configuration must not yet reflect it."""
         self.apply_events((event,))
 
-    def apply_events(self, events: Sequence[Event]) -> None:
+    def apply_events(self, events: EventArrays | Sequence[Event]) -> None:
         """Update for a time-ordered batch of events; the configuration must
-        not yet reflect any of them."""
-        born: dict[int, NDArray] = {}
-        died: list[int] = []
-        for event in events:
-            pid = event.point.pid
-            if event.kind == "birth":
-                born[pid] = event.point.position
-            elif born.pop(pid, None) is None:
-                died.append(pid)
-        metric = self.config.metric
-        dying = np.sort(np.array(died, dtype=np.intp))
-        # birth ids ascend in a batch the configuration accepts
-        new_ids = np.fromiter(born, dtype=np.intp, count=len(born))
-        new_pts = metric.wrap(np.array(list(born.values()), dtype=float).reshape(len(born), metric.dim))
+        not yet reflect any of them.  The batch is checked as
+        ``Configuration.apply_events`` checks it, before anything changes."""
+        new_ids, new_pts, dying, _ = self.config.net_change(events)
         dying_pts = self.config.positions_array(dying)
         if self.nbhd is not None and (len(dying) or len(new_ids)):
             self._recount(dying, dying_pts, new_ids, new_pts)

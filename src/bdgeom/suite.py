@@ -27,6 +27,7 @@ from .process import (
     alive_count_path,
     sample_stationary,
     simulate_events,
+    stream_cuts,
 )
 from .statistics import SubsetTracker, count_pairs_within, evaluate_statistic, replay
 from .theory import exclusive_mixture_model, mixture_model, simulate_ou_superposition
@@ -165,10 +166,7 @@ def check_cross_sampler(seed: int = 0) -> CheckResult:
             rng = config.rng(rep)
             state = sample_stationary(config, rng)
             stream = simulate_events(config, state, rng)
-            for event in stream.events:
-                if event.time > t_probe:
-                    break
-                state.apply_event(event)
+            state.apply_events(stream.events[: stream_cuts(stream, [t_probe])[0]])
             event_counts[rep] = count_pairs_within(state.positions_array(), r, metric)
         marked_counts = np.zeros(reps)
         for rep in range(reps):

@@ -236,8 +236,12 @@ def _normalize_weights(raw: NDArray, cov: NDArray) -> tuple[NDArray, NDArray]:
     ``sqrt(diag(J cov J^T))`` with ``J = (I - w 1^T) / sum(raw)``, given the
     covariance ``cov`` of the raw weights."""
     total = float(raw.sum())
-    if total <= 0:
+    if total == 0:
         raise ConfigError("all mixture weights are zero: functional infeasible?")
+    if total < 0:
+        raise ConfigError(
+            f"mixture weights sum to {total:.6g} < 0: the estimate is too noisy at this budget"
+        )
     weights = raw / total
     jac = (np.eye(len(raw)) - weights[:, None]) / total
     return weights, np.sqrt(np.diag(jac @ cov @ jac.T))

@@ -17,6 +17,8 @@ from bdgeom.process import (
     Configuration,
     Density,
     Event,
+    EventArrays,
+    EventStream,
     MarkedPoint,
     SimulationConfig,
     _marked_draw,
@@ -350,10 +352,14 @@ def test_apply_events_stores_the_net_change_after_checking_every_birth(indexed):
         ([_event("birth", 7, [0.5, 0.5]), _event("birth", 8, [math.nan, 0.5]), _event("death", 8, [0.0, 0.0])],
          ValueError, r"coordinate \[1, 0\] is nan"),
         ([_event("birth", 7, [0.5, 0.5, 0.5])], ValueError, r"shape \(2,\)"),
+        ([_event("birth", 7, [0.5, 0.5]), _event("birth", 8, [0.5, 0.5, 0.5])], ValueError, "share one shape"),
         ([_event("birth", 7, [0.5, 0.5]), _event("birth", 7, [0.6, 0.6])], KeyError, "already issued"),
         ([_event("birth", 5, [0.5, 0.5])], KeyError, "already issued"),
         ([_event("death", 3, [0.0, 0.0])], KeyError, "3"),
         ([_event("death", 1, [0.0, 0.0]), _event("death", 1, [0.0, 0.0])], KeyError, "1"),
+        ([_event("death", 7, [0.0, 0.0]), _event("birth", 7, [0.5, 0.5])], KeyError, "7"),
+        ([_event("birth", 7, [0.5, 0.5]), _event("death", 7, [0.5, 0.5]), _event("death", 7, [0.5, 0.5])],
+         KeyError, "7"),
     ]
     for events, error, message in refused:
         with pytest.raises(error, match=message):
@@ -462,6 +468,89 @@ def test_recorded_lifetimes_are_unit_exponential():
     assert not np.any(np.isnan(lifetimes))
     _, p = stats.kstest(lifetimes, "expon")
     assert p > 1e-3
+
+
+def test_event_engine_waits_and_choices_follow_the_rates():
+    # with m points alive the wait is Exp(n + m) and a birth has probability n / (n + m)
+    config = _config(n=40.0, horizon=3.0, seed=17)
+    gaps, births, chances = [], [], []
+    for rep in range(40):
+        rng = config.rng(rep)
+        stream = simulate_events(config, sample_stationary(config, rng), rng)
+        birth = stream.events.birth
+        before = stream.initial_count + np.concatenate([[0], np.cumsum(np.where(birth, 1, -1))[:-1]])
+        gaps.extend(np.diff(stream.events.time, prepend=0.0) * (config.n + before))
+        births.extend(birth)
+        chances.extend(config.n / (config.n + before))
+    _, p = stats.kstest(gaps, "expon")
+    assert p > 1e-3
+    chances = np.array(chances)
+    spread = math.sqrt(float(np.sum(chances * (1.0 - chances))))
+    assert abs(np.sum(births) - chances.sum()) <= 4 * spread
+
+
+class _TopUniforms:
+    """Draws for the engine whose every uniform is the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def standard_exponential(self, size):
+        return np.full(size, 1e-3)
+
+
+def test_event_engine_slot_rule_stays_in_the_alive_list():
+    # at this n, U * (n + m) - n rounds up to m for m = 5, 6 and 7
+    n, u = 0.8263817764264547, np.nextafter(1.0, 0.0)
+    assert [m for m in range(1, 9) if int(u * (n + m) - n) >= m] == [5, 6, 7]
+    config = SimulationConfig(n=n, dim=2, horizon=0.01, density=Density("uniform", 2))
+    initial = Configuration.from_points(np.random.default_rng(0).random((8, 2)), config.metric)
+    events = simulate_events(config, initial, _TopUniforms()).events
+    # the top uniform always picks the last slot: the initial points die from the last one down
+    assert events.pid[:8].tolist() == list(range(7, -1, -1)) and not events.birth[:8].any()
+    assert events.birth[8::2].all() and not events.birth[9::2].any()
+
+
+def _fields(events):
+    """Every field of each event, positions as lists."""
+    return [(e.time, e.kind, e.point.pid, e.point.position.tolist(), e.point.birth, e.point.lifetime)
+            for e in events]
+
+
+def test_event_stream_from_objects_and_from_arrays_iterate_alike():
+    config = _config(n=30.0, horizon=2.0, seed=19)
+    initial = sample_stationary(config, config.rng(0))
+    stream = simulate_events(config, initial, config.rng(1))
+    objects = list(stream)
+    rebuilt = EventStream(objects, stream.horizon, stream.initial_count)
+    assert isinstance(rebuilt.events, EventArrays) and len(rebuilt) == len(stream) > 0
+
+    assert _fields(rebuilt) == _fields(objects)
+    assert _fields(stream.events[i] for i in range(len(stream))) == _fields(objects)
+    for name in ("time", "birth", "pid", "position", "born_at", "lifetime"):
+        assert np.array_equal(getattr(rebuilt.events, name), getattr(stream.events, name)), name
+    # a death row carries the point's birth time and lifetime, as its birth row does
+    first = {}
+    for e in objects:
+        mark = (e.point.birth, e.point.lifetime, e.point.position.tolist())
+        assert first.setdefault(e.point.pid, mark) == mark
+    assert stream.events.pid.dtype == np.intp and stream.events.birth.dtype == bool
+
+
+def test_event_slices_are_views_and_indices_build_events():
+    config = _config(n=30.0, horizon=2.0, seed=23)
+    events = simulate_events(config, sample_stationary(config, config.rng(0)), config.rng(1)).events
+    part = events[5:20]
+    assert isinstance(part, EventArrays) and len(part) == 15
+    for name in ("time", "birth", "pid", "position", "born_at", "lifetime"):
+        assert np.shares_memory(getattr(part, name), getattr(events, name)), name
+    assert _fields([part[0], part[-1]]) == _fields([events[5], events[19]])
+    assert part[0].point.position.base is not None  # a view of the stream's row too
+    last = events[-1]
+    assert last.time == events.time[-1] and last.point.pid == events.pid[-1]
+    with pytest.raises(IndexError):
+        events[len(events)]
+    assert len(events[len(events):]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from bdgeom.theory import (
     CovarianceModel,
     TruncationError,
     _exclusive_harmonics,
+    _normalize_weights,
     _shared_tuples,
     exclusive_mixture_model,
     mixture_model,
@@ -181,6 +182,16 @@ def test_plain_mixture_monte_carlo_triangles():
 def test_plain_mixture_rejects_bad_gamma():
     with pytest.raises(ConfigError):
         mixture_model(make_clique(2), UNIFORM2, gamma=0.0)
+
+
+def test_normalize_weights_tells_a_zero_sum_from_a_negative_one():
+    weights, errs = _normalize_weights(np.array([1.0, 3.0]), np.diag([0.04, 0.0]))
+    assert weights.tolist() == [0.25, 0.75]
+    assert errs == pytest.approx([0.0375, 0.0375])
+    with pytest.raises(ConfigError, match="all mixture weights are zero"):
+        _normalize_weights(np.zeros(3), np.eye(3))
+    with pytest.raises(ConfigError, match=r"sum to -13\.5 < 0: the estimate is too noisy at this budget"):
+        _normalize_weights(np.array([-15.0, 1.0, 0.5]), np.eye(3))
 
 
 # -- vacancy-weighted integrals ---------------------------------------------------

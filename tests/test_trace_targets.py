@@ -1,10 +1,12 @@
 """The benchmark's workloads use the package by name; every use must hold.
 
 ``perfbench/workloads.trace_targets`` lists ``(owner, attribute, ...)`` for
-each wrapped layer, and the ``slices`` workload reads ``sample_marked``'s
-list of marked points.  A renamed layer or a changed sampler form would
-otherwise only show up in a benchmark run, and a layer that its callers
-no longer reach would read 0 there.
+each wrapped layer, the ``slices`` workload reads ``sample_marked``'s
+list of marked points, and the ``paths`` workload slices the event stream
+with ``dataclasses.replace`` and reads its events as objects.  A renamed
+layer or a changed sampler or stream form would otherwise only show up in
+a benchmark run, and a layer that its callers no longer reach would read 0
+there.
 """
 import importlib.util
 import sys
@@ -47,6 +49,25 @@ def test_slices_workload_matches_the_suite_route(workloads):
         assert len(bench) == len(slices.times)
         for pts, t in zip(bench, slices.times):
             assert np.array_equal(pts, pos[(births <= t) & (t < ends)])
+
+
+@pytest.mark.parametrize("label", ["edges", "isotriangles"])
+def test_paths_workload_matches_sample_path(workloads, label):
+    # the benchmark's piecewise replay of sample_path, and its own check of the stream
+    paths = workloads.Paths(BD, 3002, 1)
+    p, rep = workloads.Pass(), 0
+    run = paths._path(p, rep, label, workloads._no_span)
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(run)
+    functional, nbhd = paths.pairs[label]
+    want = statistics.sample_path(paths.config, functional, paths.times, paths.r, nbhd, rep)
+    assert np.array_equal(done.value.value, want)
+    p.outputs = [(rep, label, done.value.value)]
+    assert paths.check(p) == []
+    _, stream = p.inputs[rep]
+    assert len(stream) > 1000
+    assert stream.events[-1].time == list(stream)[-1].time == stream.events.time.max()
 
 
 def test_every_trace_target_resolves(workloads):
